@@ -6,14 +6,14 @@ The package is organized around a handful of small, composable pieces:
 - :mod:`nilwalk.bch` -- exact Baker-Campbell-Hausdorff products up to step 6
 - :mod:`nilwalk.norms` -- homogeneous gauges adapted to a filtration
 - :mod:`nilwalk.semidirect` -- step distributions twisted by a finite group
-- :mod:`nilwalk.walker` -- deterministic multi-threaded Monte Carlo driver
+- :mod:`nilwalk.walker` -- deterministic single-threaded Monte Carlo driver
 - :mod:`nilwalk.stats` -- concentration exponents, tail fits, growth checks
 - :mod:`nilwalk.splitting` -- affine isometry splittings and defect scans
 - :mod:`nilwalk.cli` -- the ``nilwalk`` command line front end
 """
 
 from .algebra import (Filtration, NilpotentAlgebra, algebra_from_json,
-                      algebra_to_json, load_algebra, lower_central_filtration,
+                      algebra_to_json, lower_central_filtration,
                       lower_central_series, validate_algebra,
                       weighted_filtration)
 from .bch import bch, bch_chain, degree_masses, dynkin_table
@@ -67,7 +67,6 @@ __all__ = [
     "laplace_check",
     "lift_from_json",
     "lil_diagnostic",
-    "load_algebra",
     "lower_central_filtration",
     "lower_central_series",
     "monte_carlo",

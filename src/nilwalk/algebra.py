@@ -10,7 +10,6 @@ singular value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,12 +297,9 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
     for entry in data.get("brackets", []):
         i, j, coeffs = entry
         for k, c in coeffs:
+            if not all(isinstance(x, int) and 1 <= x <= dim for x in (i, j, k)):
+                raise ValueError(f"bracket index outside 1..{dim} in {entry}")
             tensor[i - 1, j - 1, k - 1] = float(c)
             tensor[j - 1, i - 1, k - 1] = -float(c)
     labels = tuple(data.get("labels") or ())
     return NilpotentAlgebra(dim=dim, step=step, tensor=tensor, labels=labels)
-
-
-def load_algebra(path: str) -> NilpotentAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))

@@ -77,9 +77,6 @@ class DynkinTable:
     abs_mass: tuple[float, ...]   # sum of |coefficients| per degree
     word_count: tuple[int, ...]   # surviving words per degree
 
-    def degree_terms(self, degree: int):
-        return self.terms[degree - 1]
-
 
 @lru_cache(maxsize=None)
 def dynkin_table(max_degree: int) -> DynkinTable:

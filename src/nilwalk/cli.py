@@ -9,7 +9,7 @@ Subcommands:
   replay          rerun a manifest and verify every artifact byte for byte
 
 All randomness flows from --seed; reruns of the same resolved config
-produce byte-identical files regardless of NILWALK_THREADS.  Exit codes:
+produce byte-identical files.  Exit codes:
 2 config/schema, 3 resource ceiling, 4 numerical validation or replay
 mismatch, 5 file I/O.
 """
@@ -27,8 +27,8 @@ import numpy as np
 from .algebra import algebra_from_json, validate_algebra, weighted_filtration
 from .errors import NumericalValidationError, ResourceCeilingError, SchemaError
 from .manifest import (MANIFEST_SCHEMA_VERSION, attach_file_hashes, gauge_hash,
-                       jsonify, load_manifest, read_csv_columns, sha256_file,
-                       write_manifest, write_scan_csv, write_walk_csv)
+                       read_csv_columns, sha256_file, write_manifest,
+                       write_scan_csv, write_walk_csv)
 from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS,
                       assemble_setup, build_split_group, build_walk_setup,
                       stay_diagnostic)
@@ -82,6 +82,18 @@ DEFAULTS = {
 }
 
 
+# Config keys recorded in each kind's manifest, so a replay can rerun it.
+MANIFEST_CONFIG_KEYS = {
+    "walk": ("schema_version", "kind", "preset", "algebra", "distribution",
+             "eps", "n", "reps", "seed", "checkpoints", "gauge", "filtration",
+             "conjugate", "cross_check", "max_work"),
+    "split-scan": ("schema_version", "kind", "preset", "reps", "seed", "svg"),
+    "fit": ("schema_version", "kind", "csv", "column", "lil_alpha",
+            "bootstrap", "seed", "svg"),
+    "algebra-check": ("schema_version", "kind", "preset", "algebra", "v"),
+}
+
+
 def validate_config(cfg: dict) -> dict:
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
@@ -108,8 +120,11 @@ def _walk_setup_from_config(cfg: dict):
                                 filtration_choice=cfg["filtration"],
                                 conjugate=cfg["conjugate"])
     if "algebra" in cfg and "distribution" in cfg:
-        alg = algebra_from_json(cfg["algebra"])
-        dist = distribution_from_json(alg, cfg["distribution"])
+        alg, _ = _load_algebra(cfg["algebra"])
+        try:
+            dist = distribution_from_json(alg, cfg["distribution"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise SchemaError(f"bad distribution payload: {exc}") from exc
         return assemble_setup("custom", alg, dist, eps=cfg.get("eps"),
                               seed=cfg["seed"], gauge_mode=cfg["gauge"],
                               filtration_choice=cfg["filtration"],
@@ -117,8 +132,51 @@ def _walk_setup_from_config(cfg: dict):
     raise SchemaError("walk needs a preset or inline algebra + distribution")
 
 
-def _resolved_config(cfg: dict, keys) -> dict:
-    return {k: cfg[k] for k in keys if k in cfg and cfg[k] is not None}
+def _load_algebra(payload: dict | None = None, preset: str | None = None):
+    """(algebra, validation report) from an algebra preset or inline payload.
+
+    A malformed payload is a schema error (exit 2); a tensor that is not a
+    nilpotent Lie bracket of the declared step fails validation (exit 4).
+    """
+    if preset:
+        if preset not in ALGEBRA_PRESETS:
+            raise SchemaError(f"unknown algebra preset {preset!r}")
+        alg = ALGEBRA_PRESETS[preset]()
+    else:
+        try:
+            alg = algebra_from_json(payload)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise SchemaError(f"bad algebra payload: {exc}") from exc
+    rep = validate_algebra(alg)
+    if not rep.ok:
+        raise NumericalValidationError(
+            "structure tensor rejected: " + "; ".join(rep.messages))
+    return alg, rep
+
+
+def _emit(cfg: dict, out_dir: str, files: list[str], derived: dict,
+          summary: str, documents: dict | None = None, **extra) -> list[str]:
+    """Write the JSON documents and manifest.json, then report every artifact.
+
+    documents maps artifact names to JSON bodies written here with sorted
+    keys; files lists every artifact, in the order they are reported.  The
+    manifest records the config keys of MANIFEST_CONFIG_KEYS for this kind,
+    the seed, the derived values, any extra top-level fields and a sha256
+    per artifact.  Returns files plus the manifest.
+    """
+    for name, body in (documents or {}).items():
+        write_manifest(os.path.join(out_dir, name), body)
+    config = {k: cfg[k] for k in MANIFEST_CONFIG_KEYS[cfg["kind"]]
+              if k in cfg and cfg[k] is not None}
+    doc = dict(extra, schema_version=MANIFEST_SCHEMA_VERSION, kind=cfg["kind"],
+               config=config, seed=cfg["seed"], derived=derived)
+    doc = attach_file_hashes(doc, out_dir, files)
+    write_manifest(os.path.join(out_dir, "manifest.json"), doc)
+    files = files + ["manifest.json"]
+    print(summary)
+    for name in files:
+        print(f"wrote {os.path.join(out_dir, name)}")
+    return files
 
 
 def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
@@ -166,26 +224,11 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         eps = setup.eps if setup.eps is not None else 0.01
         derived["stay_probability"] = stay_diagnostic(result, run, eps, n)
 
-    keys = ("schema_version", "kind", "preset", "algebra", "distribution",
-            "eps", "n", "reps", "seed", "checkpoints", "gauge", "filtration",
-            "conjugate", "cross_check", "max_work")
-    doc = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "walk",
-        "config": dict(_resolved_config(cfg, keys), checkpoints=list(cps)),
-        "seed": cfg["seed"],
-        "derived": derived,
-    }
-    doc = attach_file_hashes(doc, out_dir, ["walk.csv"])
-    write_manifest(os.path.join(out_dir, "manifest.json"), doc)
-
     kappa = derived["kappa_mu"]
     kappa_txt = kappa if isinstance(kappa, str) else "%.6g" % kappa
-    print(f"walk: {result.replications} replicates, n={n}, "
-          f"kappa_mu={kappa_txt}, conjugated={setup.conjugated}")
-    print(f"wrote {os.path.join(out_dir, 'walk.csv')}")
-    print(f"wrote {os.path.join(out_dir, 'manifest.json')}")
-    return ["walk.csv", "manifest.json"]
+    return _emit(dict(cfg, checkpoints=list(cps)), out_dir, ["walk.csv"], derived,
+                 f"walk: {result.replications} replicates, n={n}, "
+                 f"kappa_mu={kappa_txt}, conjugated={setup.conjugated}")
 
 
 def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
@@ -199,9 +242,6 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
 
     write_scan_csv(os.path.join(out_dir, "scan.csv"), scan, preset,
                    cfg["seed"], group.order)
-    with open(os.path.join(out_dir, "best-lift.json"), "w") as fh:
-        json.dump(jsonify(scan.argmin_lift.to_json()), fh, sort_keys=True, indent=2)
-        fh.write("\n")
     files = ["scan.csv", "best-lift.json"]
     if cfg["svg"]:
         counts, edges = scan.histogram
@@ -212,30 +252,19 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
             fh.write(svg)
         files.append("scan-hist.svg")
 
-    keys = ("schema_version", "kind", "preset", "reps", "seed", "svg")
-    doc = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "split-scan",
-        "config": _resolved_config(cfg, keys),
-        "seed": cfg["seed"],
-        "derived": {
-            "c_hat": scan.c_hat,
-            "kept": scan.kept,
-            "skipped_near_sections": scan.skipped,
-            "group_order": group.order,
-            "description": SPLIT_PRESETS[preset][1],
-            "estimate_note": "empirical lower estimate from finite sampling, "
-                             "not a certified infimum",
-        },
+    derived = {
+        "c_hat": scan.c_hat,
+        "kept": scan.kept,
+        "skipped_near_sections": scan.skipped,
+        "group_order": group.order,
+        "description": SPLIT_PRESETS[preset][1],
+        "estimate_note": "empirical upper estimate of the infimum from finite "
+                         "sampling, not a certified bound",
     }
-    doc = attach_file_hashes(doc, out_dir, files)
-    write_manifest(os.path.join(out_dir, "manifest.json"), doc)
-    files.append("manifest.json")
-    print(f"split-scan: c_hat={scan.c_hat:.6g} over {scan.kept} lifts "
-          f"({scan.skipped} near-sections skipped)")
-    for name in files:
-        print(f"wrote {os.path.join(out_dir, name)}")
-    return files
+    return _emit(cfg, out_dir, files, derived,
+                 f"split-scan: c_hat={scan.c_hat:.6g} over {scan.kept} lifts "
+                 f"({scan.skipped} near-sections skipped)",
+                 documents={"best-lift.json": scan.argmin_lift.to_json()})
 
 
 def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
@@ -301,9 +330,6 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
             "median_ratio": list(lil.median_ratio),
         }
 
-    with open(os.path.join(out_dir, "fit-report.json"), "w") as fh:
-        json.dump(jsonify(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
     files.append("fit-report.json")
 
     if cfg["svg"]:
@@ -316,45 +342,20 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
             fh.write(svg)
         files.append("tail.svg")
 
-    keys = ("schema_version", "kind", "csv", "column", "lil_alpha",
-            "bootstrap", "seed", "svg")
-    doc = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "fit",
-        "config": _resolved_config(cfg, keys),
-        "seed": cfg["seed"],
-        "derived": {"alpha_moments": fit.alpha_moments,
-                    "alpha_tail": fit.alpha_tail,
-                    "flags": list(fit.flags)},
-        "inputs": {os.path.basename(path): sha256_file(path)},
-    }
-    doc = attach_file_hashes(doc, out_dir, files)
-    write_manifest(os.path.join(out_dir, "manifest.json"), doc)
-    files.append("manifest.json")
-    print(f"fit: alpha_moments={fit.alpha_moments:.4g} "
-          f"alpha_tail={fit.alpha_tail:.4g} flags={list(fit.flags)}")
-    for name in files:
-        print(f"wrote {os.path.join(out_dir, name)}")
-    return files
+    derived = {"alpha_moments": fit.alpha_moments,
+               "alpha_tail": fit.alpha_tail,
+               "flags": list(fit.flags)}
+    return _emit(cfg, out_dir, files, derived,
+                 f"fit: alpha_moments={fit.alpha_moments:.4g} "
+                 f"alpha_tail={fit.alpha_tail:.4g} flags={list(fit.flags)}",
+                 documents={"fit-report.json": report},
+                 inputs={os.path.basename(path): sha256_file(path)})
 
 
 def cmd_algebra_check(cfg: dict, out_dir: str) -> list[str]:
-    if cfg.get("preset"):
-        if cfg["preset"] not in ALGEBRA_PRESETS:
-            raise SchemaError(f"unknown algebra preset {cfg['preset']!r}")
-        alg = ALGEBRA_PRESETS[cfg["preset"]]()
-    elif "algebra" in cfg:
-        try:
-            alg = algebra_from_json(cfg["algebra"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad algebra payload: {exc}") from exc
-    else:
+    if not cfg.get("preset") and "algebra" not in cfg:
         raise SchemaError("algebra-check needs a preset or inline algebra")
-
-    rep = validate_algebra(alg)
-    if not rep.ok:
-        raise NumericalValidationError(
-            "structure tensor rejected: " + "; ".join(rep.messages))
+    alg, rep = _load_algebra(cfg.get("algebra"), cfg.get("preset"))
     v = np.asarray(cfg.get("v", [0.0] * alg.dim), dtype=float)
     if v.size != alg.dim:
         raise SchemaError(f"v has {v.size} entries, algebra dimension is {alg.dim}")
@@ -370,25 +371,10 @@ def cmd_algebra_check(cfg: dict, out_dir: str) -> list[str]:
                        "weights": filt.weights,
                        "layer_dims": filt.layer_dims()},
     }
-    with open(os.path.join(out_dir, "algebra-report.json"), "w") as fh:
-        json.dump(jsonify(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-    keys = ("schema_version", "kind", "preset", "algebra", "v")
-    doc = {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "kind": "algebra-check",
-        "config": _resolved_config(cfg, keys),
-        "seed": cfg["seed"],
-        "derived": report,
-    }
-    doc = attach_file_hashes(doc, out_dir, ["algebra-report.json"])
-    write_manifest(os.path.join(out_dir, "manifest.json"), doc)
-    print(f"algebra-check: dim={alg.dim} step={alg.step} "
-          f"filtration depth={filt.depth} layer_dims={filt.layer_dims()}")
-    print(f"wrote {os.path.join(out_dir, 'algebra-report.json')}")
-    print(f"wrote {os.path.join(out_dir, 'manifest.json')}")
-    return ["algebra-report.json", "manifest.json"]
+    return _emit(cfg, out_dir, ["algebra-report.json"], report,
+                 f"algebra-check: dim={alg.dim} step={alg.step} "
+                 f"filtration depth={filt.depth} layer_dims={filt.layer_dims()}",
+                 documents={"algebra-report.json": report})
 
 
 DISPATCH = {
@@ -400,11 +386,16 @@ DISPATCH = {
 
 
 def cmd_replay(manifest_path: str, out_dir: str) -> int:
-    original = load_manifest(manifest_path)
+    original = _read_json_object(manifest_path, "manifest")
+    expected = original.get("files") or {}
+    if not isinstance(expected, dict):
+        raise SchemaError("manifest 'files' is not a map of artifact hashes")
+    if not expected:
+        raise NumericalValidationError("manifest lists no artifacts; replay checks nothing")
     cfg = validate_config(original.get("config", {}))
     DISPATCH[cfg["kind"]](cfg, out_dir)
     mismatches = []
-    for name, digest in original.get("files", {}).items():
+    for name, digest in expected.items():
         fresh = sha256_file(os.path.join(out_dir, name))
         status = "ok" if fresh == digest else "MISMATCH"
         if fresh != digest:
@@ -471,14 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    """A JSON object from a file; anything else is a schema error."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
-    cfg: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    cfg = _read_json_object(args.config, "config") if args.config else {}
     cfg.setdefault("schema_version", 1)
     cfg["kind"] = args.command
     skip = {"command", "config", "out"}
@@ -497,8 +494,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
         except ValueError as exc:
             raise SchemaError(f"bad drift vector: {exc}") from exc
     if isinstance(cfg.get("algebra"), str):
-        with open(cfg["algebra"]) as fh:
-            cfg["algebra"] = json.load(fh)
+        cfg["algebra"] = _read_json_object(cfg["algebra"], "algebra payload")
     return cfg
 
 

@@ -17,6 +17,8 @@ def cayley_from_matrices(mats: np.ndarray, tol: float = MATCH_TOL):
     k, d, d2 = mats.shape
     if d != d2:
         raise ValueError("matrices must be square")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must be finite")
     for i in range(k):
         for j in range(i + 1, k):
             if np.max(np.abs(mats[i] - mats[j])) <= tol:

@@ -40,12 +40,10 @@ def jsonify(obj):
     return obj
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True, separators=(",", ":"))
-
-
 def gauge_hash(norm: HomogeneousNorm) -> str:
-    return hashlib.sha256(canonical_json(gauge_descriptor(norm)).encode()).hexdigest()
+    body = json.dumps(jsonify(gauge_descriptor(norm)), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 def sha256_file(path: str) -> str:
@@ -125,11 +123,6 @@ def write_manifest(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         fh.write(body)
         fh.write("\n")
-
-
-def load_manifest(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def attach_file_hashes(doc: dict, out_dir: str, names) -> dict:

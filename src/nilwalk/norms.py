@@ -89,7 +89,9 @@ def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.n
     if facets is None:
         return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
     a, b = facets[:, :-1], facets[:, -1]
-    return np.max((coords @ a.T) / b, axis=-1)
+    ratios = coords @ a.T
+    ratios /= b         # in place: one (rows, facets) temporary per call, not two
+    return np.max(ratios, axis=-1)
 
 
 def hom_norm(norm: HomogeneousNorm, x: np.ndarray) -> np.ndarray | float:

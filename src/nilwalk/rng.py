@@ -4,7 +4,7 @@ All randomness in the package flows through Philox substreams keyed by
 (seed, purpose, path...).  Philox is counter-based, so a substream's output
 depends only on its key, never on how many other substreams exist or in
 which order they are consumed.  That is what makes Monte Carlo runs
-bit-reproducible under any thread schedule.
+bit-reproducible for any chunk size.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ STREAM_WALK = 1
 STREAM_GAUGE = 2
 STREAM_BOOTSTRAP = 3
 STREAM_SCAN = 4
-STREAM_TEST = 9
 
 _MASK64 = (1 << 64) - 1
 

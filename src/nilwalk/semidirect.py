@@ -13,7 +13,6 @@ element) are computed eagerly at construction and drive the walk module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +155,8 @@ class StepDistribution:
         kappas = np.asarray(self.kappas, dtype=np.int64)
         if probs.ndim != 1 or len(probs) != len(xis) or len(probs) != len(kappas):
             raise ValueError("probs, xis, kappas must have matching lengths")
+        if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(xis))):
+            raise ValueError("atom probabilities and displacements must be finite")
         if np.any(probs < 0):
             raise ValueError("negative probability")
         total = float(probs.sum())
@@ -238,11 +239,6 @@ def invariant_split(alg: NilpotentAlgebra, q: FiniteActionGroup,
     return v_basis, w_basis
 
 
-def spectral_constant(dist: StepDistribution) -> float | None:
-    """Smallest singular value of (I - Ad(mu_q)) on the moving subspace."""
-    return dist.kappa_mu
-
-
 def essential_average(dist: StepDistribution) -> tuple[np.ndarray, np.ndarray]:
     """(invariant drift v_mu, centering element y).
 
@@ -290,8 +286,3 @@ def distribution_from_json(alg: NilpotentAlgebra, data: dict) -> StepDistributio
     xis = np.array([a["xi"] for a in atoms], dtype=float)
     kappas = np.array([a["kappa"] for a in atoms], dtype=np.int64)
     return StepDistribution(alg=alg, q=q, probs=probs, xis=xis, kappas=kappas)
-
-
-def load_distribution(alg: NilpotentAlgebra, path: str) -> StepDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return distribution_from_json(alg, json.load(fh))

@@ -12,20 +12,18 @@ section of F:
 
 delta vanishes exactly on lifts with a common fixed point; big_delta
 vanishes exactly on sections.  delta_ratio_scan estimates, by sampling
-lifts normalized to delta = 1, an empirical lower bound for the ratio
-big_delta / delta over all lifts whose elements each fix something.
+lifts normalized to delta = 1, an empirical upper estimate of the infimum
+of big_delta / delta over all lifts whose elements each fix something.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import STREAM_SCAN, substream
 from .semidirect import FiniteActionGroup, finite_group
-from .walker import thread_cap
 
 ORTHO_TOL = 1e-10
 FIX_TOL = 1e-9
@@ -282,16 +280,11 @@ def delta_ratio_scan(group: FiniteActionGroup, replications: int,
     keeps a fixed point, conjugated so the delta minimizer sits at the
     origin, and rescaled to delta = 1; big_delta of the result equals the
     ratio of the two functionals.  The minimum over the sample is an
-    empirical lower estimate of the true infimum, never a certificate.
+    empirical upper estimate of the true infimum (more samples can only
+    lower it), never a certificate.
     """
-    chunks = [(i, min(SCAN_CHUNK, replications - i * SCAN_CHUNK))
-              for i in range((replications + SCAN_CHUNK - 1) // SCAN_CHUNK)]
-    results = [None] * len(chunks)
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        futs = {pool.submit(_scan_chunk, group, seed, c, n): i
-                for i, (c, n) in enumerate(chunks)}
-        for fut, i in futs.items():
-            results[i] = fut.result()
+    results = [_scan_chunk(group, seed, i, min(SCAN_CHUNK, replications - lo))
+               for i, lo in enumerate(range(0, replications, SCAN_CHUNK))]
     deltas = np.array([v for res in results for v in res[0]])
     ratios = np.array([v for res in results for v in res[1]])
     lifts = [lf for res in results for lf in res[2]]

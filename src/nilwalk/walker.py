@@ -15,16 +15,14 @@ exponential of ad_{m v}, a polynomial in m because ad_v is nilpotent, so
 each step costs a single BCH product.  A cross-check mode also tracks z_n
 and verifies the direct recentring at every checkpoint.
 
-Replicates advance in lockstep as numpy batches.  Each replicate draws
-from its own counter-based substream keyed by (seed, replicate), and the
-thread pool splits work over fixed-size replicate chunks, so results are
-bit-identical for any worker count.
+Replicates advance in lockstep as numpy batches, one fixed-size chunk of
+replicates at a time.  Each replicate draws from its own counter-based
+substream keyed by (seed, replicate), so results are bit-identical for
+any chunk size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,15 +39,9 @@ REPLICATE_CHUNK = 512
 DEFAULT_MAX_WORK = 2 ** 34
 
 
+# The engine runs in one thread; kept for callers that report a worker count.
 def thread_cap() -> int:
-    raw = os.environ.get("NILWALK_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 4)
-    return n
+    return 1
 
 
 @dataclass(frozen=True)
@@ -205,17 +197,9 @@ def _run_chunk(cfg: WalkConfig, rep_ids: np.ndarray) -> dict:
             "cross": cross_resid if cfg.cross_check else None}
 
 
-def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
-    """Run all replicates; byte-stable for any NILWALK_THREADS value."""
-    chunks = [np.arange(lo, min(lo + REPLICATE_CHUNK, cfg.replications))
-              for lo in range(0, cfg.replications, REPLICATE_CHUNK)]
-    workers = max(1, min(thread_cap(), len(chunks)))
-    if workers == 1:
-        results = [_run_chunk(cfg, ch) for ch in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ch: _run_chunk(cfg, ch), chunks))
-    out = SampleMatrix(
+def _sample_matrix(cfg: WalkConfig, results: list[dict]) -> SampleMatrix:
+    """Stack per-chunk results, in chunk order, into one SampleMatrix."""
+    return SampleMatrix(
         checkpoints=cfg.checkpoints,
         running_max=np.concatenate([res["max"] for res in results]),
         y_norm=np.concatenate([res["norm"] for res in results]),
@@ -229,21 +213,18 @@ def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
               "centering_offset": cfg.centering_offset,
               "seed": cfg.seed},
     )
-    return out
+
+
+def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
+    """Run all replicates, REPLICATE_CHUNK at a time; byte-stable for any chunk size."""
+    return _sample_matrix(cfg, [
+        _run_chunk(cfg, np.arange(lo, min(lo + REPLICATE_CHUNK, cfg.replications)))
+        for lo in range(0, cfg.replications, REPLICATE_CHUNK)])
 
 
 def simulate_walk(cfg: WalkConfig, replicate: int = 0) -> SampleMatrix:
     """One trajectory (the given replicate), same stream as monte_carlo."""
-    res = _run_chunk(cfg, np.array([replicate]))
-    return SampleMatrix(
-        checkpoints=cfg.checkpoints,
-        running_max=res["max"], y_norm=res["norm"], layer_euclid=res["layers"],
-        q_index=res["q"], final_y=np.atleast_2d(res["final_y"]),
-        scaling_exponent=cfg.scaling_exponent,
-        cross_residual=res["cross"],
-        meta={"conjugated": cfg.conjugated,
-              "centering_offset": cfg.centering_offset, "seed": cfg.seed},
-    )
+    return _sample_matrix(cfg, [_run_chunk(cfg, np.array([replicate]))])
 
 
 def doubling_compose(dist: StepDistribution, y1: np.ndarray, q1: np.ndarray,

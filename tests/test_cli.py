@@ -1,7 +1,11 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilwalk.cli import default_checkpoints, main, validate_config
 from nilwalk.errors import SchemaError
@@ -227,3 +231,135 @@ def test_replay_split_scan(tmp_path):
                 "--out", src]) == 0
     assert run(["replay", "--manifest", src / "manifest.json",
                 "--out", tmp_path / "again"]) == 0
+
+
+HEIS = {"dim": 3, "step": 2, "brackets": [[1, 2, [[3, 1.0]]]]}
+# identity and the half turn in the (e1, e2) plane, an automorphism of HEIS
+C2 = {"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]]}
+INLINE_WALK = {
+    "schema_version": 1, "kind": "walk", "n": 4, "reps": 3,
+    "algebra": HEIS,
+    "distribution": {"atoms": [{"p": 0.5, "xi": [1, 0, 0], "kappa": 0},
+                               {"p": 0.5, "xi": [0, 1, 0], "kappa": 1}],
+                     "Q": C2},
+}
+
+
+def inline_walk(**patch):
+    return dict(copy.deepcopy(INLINE_WALK), **patch)
+
+
+def dist_with(**atom0):
+    dist = copy.deepcopy(INLINE_WALK["distribution"])
+    dist["atoms"][0].update(atom0)
+    return dist
+
+
+NO_FILES_MANIFEST = {"schema_version": 1, "kind": "algebra-check",
+               "config": {"schema_version": 1, "kind": "algebra-check",
+                          "preset": "heisenberg"}, "seed": 0}
+
+# (id, file name -> JSON text, argv before --out, exit code)
+MALFORMED = [
+    ("walk-no-dim", {"c.json": json.dumps(inline_walk(
+        algebra={"step": 2, "brackets": []}))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-not-nilpotent", {"c.json": json.dumps(inline_walk(
+        algebra={"dim": 2, "step": 2, "brackets": [[1, 2, [[1, 1.0]]]]},
+        distribution={"atoms": [{"p": 1.0, "xi": [1, 0], "kappa": 0}],
+                      "Q": {"matrices": [[[1, 0], [0, 1]]]}}))},
+     ["walk", "--config", "c.json"], 4),
+    ("walk-ragged-xi", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(xi=[1, 0])))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-kappa-out-of-range", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(kappa=3)))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-bracket-index-out-of-range", {"c.json": json.dumps(inline_walk(
+        algebra=dict(HEIS, brackets=[[1, 2, [[7, 1.0]]]])))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-null-probability", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(p=None)))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-null-twist-entry", {"c.json": json.dumps(inline_walk(
+        distribution=dict(INLINE_WALK["distribution"],
+                          Q={"matrices": [[[None, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                          C2["matrices"][1]]})))},
+     ["walk", "--config", "c.json"], 2),
+    ("config-is-list", {"c.json": "[1, 2]"},
+     ["walk", "--config", "c.json"], 2),
+    ("algebra-file-invalid-json", {"a.json": "{not json"},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("manifest-invalid-json", {"m.json": "{not json"},
+     ["replay", "--manifest", "m.json"], 2),
+    ("manifest-is-list", {"m.json": "[]"},
+     ["replay", "--manifest", "m.json"], 2),
+    ("manifest-without-files", {"m.json": json.dumps(NO_FILES_MANIFEST)},
+     ["replay", "--manifest", "m.json"], 4),
+    ("manifest-with-empty-files", {"m.json": json.dumps(dict(NO_FILES_MANIFEST, files={}))},
+     ["replay", "--manifest", "m.json"], 4),
+]
+
+
+@pytest.mark.parametrize("files, argv, code", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_cleanly(tmp_path, capsys, files, argv, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(argv + ["--out", tmp_path / "o"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_inline_walk_config_runs(tmp_path):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(INLINE_WALK))
+    assert run(["walk", "--config", cfgp, "--out", tmp_path / "o"]) == 0
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+INLINE_PATHS = list(_paths(INLINE_WALK))
+# (kind, value): "set" covers wrong types and out-of-range numbers
+MUTATIONS = [("drop", None), ("ragged", None)] + [
+    ("set", v) for v in (None, "x", True, 1.5, [], {}, [[1]], -1, 0, 7)]
+
+
+def _mutate(doc, path, kind, value):
+    """doc with one structural change at path; at the root, non-object JSON."""
+    if not path:
+        return value if kind == "set" else [doc]
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "ragged":
+        node = parent[key]
+        parent[key] = node + node[-1:] if isinstance(node, list) else [node]
+    else:
+        parent[key] = value
+    return doc
+
+
+@given(path=st.sampled_from(INLINE_PATHS), mutation=st.sampled_from(MUTATIONS))
+@settings(max_examples=80, deadline=None)
+def test_inline_walk_mutations_keep_exit_code_contract(path, mutation):
+    """One structural change to a valid inline walk never ends in a traceback."""
+    doc = _mutate(INLINE_WALK, path, *mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "c.json"
+        cfgp.write_text(json.dumps(doc))
+        code = run(["walk", "--config", cfgp, "--out", Path(tmp) / "o"])
+    assert code in {0, 2, 3, 4, 5}

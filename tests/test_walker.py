@@ -8,7 +8,7 @@ from nilwalk.errors import ResourceCeilingError
 from nilwalk.norms import build_gauge, hom_norm
 from nilwalk.presets import abelian_algebra, build_walk_setup
 from nilwalk.semidirect import StepDistribution, finite_group
-from nilwalk import groups
+from nilwalk import groups, walker
 from nilwalk.walker import (WalkConfig, atom_indices, doubling_compose,
                             monte_carlo, recentre, simulate_walk)
 
@@ -190,6 +190,18 @@ def test_worker_count_does_not_change_results(monkeypatch):
     threaded = monte_carlo(cfg)
     for name in ("running_max", "y_norm", "layer_euclid", "q_index", "final_y"):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+
+
+def test_replicate_chunk_size_does_not_change_results(monkeypatch):
+    setup = build_walk_setup("heisenberg-srw")
+    cfg = small_cfg(setup, 16, 1100, seed=1)
+    runs = []
+    for chunk in (512, 64, 7):
+        monkeypatch.setattr(walker, "REPLICATE_CHUNK", chunk)
+        runs.append(monte_carlo(cfg))
+    for other in runs[1:]:
+        for name in ("running_max", "y_norm", "layer_euclid", "q_index", "final_y"):
+            assert np.array_equal(getattr(runs[0], name), getattr(other, name))
 
 
 def test_sample_matrix_helpers():
