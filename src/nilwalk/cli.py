@@ -99,6 +99,10 @@ def validate_config(cfg: dict) -> dict:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.exceptions.ValidationError as exc:
         raise SchemaError(f"config rejected: {exc.message}") from exc
+    try:
+        json.dumps(cfg, allow_nan=False)
+    except ValueError as exc:
+        raise SchemaError("config rejected: a number is NaN or infinite") from exc
     out = dict(DEFAULTS)
     out.update(cfg)
     return out
@@ -271,10 +275,15 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     path = cfg.get("csv")
     if not path:
         raise SchemaError("fit needs --csv pointing at a walk CSV")
-    data, names = read_csv_columns(path)
+    try:
+        data, names = read_csv_columns(path)
+    except ValueError as exc:
+        raise SchemaError(f"malformed walk CSV: {exc}") from exc
     col = cfg["column"]
-    if col not in names:
-        raise SchemaError(f"column {col!r} not in {path} (has {names})")
+    need = [col, "n"] + (["y_norm", "replicate"] if cfg.get("lil_alpha") is not None else [])
+    missing = [name for name in need if name not in names]
+    if missing:
+        raise SchemaError(f"columns {missing} not in {path} (has {names})")
     ci, ni = names.index(col), names.index("n")
     ns = np.unique(data[:, ni]).astype(int)
     samples = {int(nv): data[data[:, ni] == nv, ci] for nv in ns}
@@ -317,6 +326,8 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
         for j, nv in enumerate(dyadic):
             rows = data[data[:, ni] == nv]
             order = np.argsort(rows[:, ri])
+            if not np.array_equal(rows[order, ri], reps):
+                raise SchemaError(f"{path}: n={int(nv)} does not have one row per replicate")
             mat[:, j] = rows[order, yi]
         lil = lil_diagnostic(dyadic, mat, alpha=cfg["lil_alpha"])
         report["lil"] = {

@@ -175,14 +175,14 @@ def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
 # ---------------------------------------------------------------------------
 # construction
 
-def _hull_facets_from_vertices(vertices: np.ndarray):
-    """Facet rows (a, b) with the hull = {x : a.x <= b}; None if degenerate."""
+def _hull_layer(vertices: np.ndarray):
+    """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}); None if degenerate."""
     k = vertices.shape[1]
     if k == 1:
         top = float(np.max(np.abs(vertices)))
         if top <= 0.0:
             return None
-        return np.array([[1.0, top], [-1.0, top]])
+        return np.array([[top], [-top]]), np.array([[1.0, top], [-1.0, top]])
     rank = np.linalg.matrix_rank(vertices, rtol=1e-10)
     if rank < k:
         return None
@@ -192,20 +192,7 @@ def _hull_facets_from_vertices(vertices: np.ndarray):
     a, b = eqs[:, :-1], -eqs[:, -1]
     if np.any(b <= 0):  # origin not interior
         return None
-    return np.hstack([a, b[:, None]])
-
-
-def _prune_vertices(vertices: np.ndarray) -> np.ndarray:
-    k = vertices.shape[1]
-    if k == 1:
-        top = float(np.max(np.abs(vertices)))
-        return np.array([[top], [-top]])
-    from scipy.spatial import ConvexHull
-    try:
-        hull = ConvexHull(vertices)
-    except Exception:
-        return vertices
-    return vertices[np.sort(hull.vertices)]
+    return vertices[np.sort(hull.vertices)], np.hstack([a, b[:, None]])
 
 
 def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
@@ -241,10 +228,9 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
             continue
         if mode == "bracket_hull":
             verts = _build_hull_layer(alg, norm, w, kap[i], hull_samples, seed)
-            facets = _hull_facets_from_vertices(verts) if verts is not None else None
-            if facets is not None:
-                hull_v[i] = _prune_vertices(verts)
-                hull_f[i] = facets
+            hull = _hull_layer(verts) if verts is not None else None
+            if hull is not None:
+                hull_v[i], hull_f[i] = hull
                 norm = _rebuild(norm, scales, hull_v, hull_f, fallback)
                 continue
             fallback.append(w)

@@ -1,7 +1,7 @@
 """Euclidean isometry lifts of a finite group and their defect functionals.
 
 A lift assigns to every element f of a finite orthogonal group F an
-isometry x -> rho(f) x + u_f whose rotation part is the representation
+isometry x -> A_f x + u_f whose rotation part A_f is the representation
 of f.  Two functionals measure how far the lift is from an honest
 section of F:
 
@@ -11,9 +11,12 @@ section of F:
                relators f1 f2 (f1 f2)^{-1}
 
 delta vanishes exactly on lifts with a common fixed point; big_delta
-vanishes exactly on sections.  delta_ratio_scan estimates, by sampling
-lifts normalized to delta = 1, an empirical upper estimate of the infimum
-of big_delta / delta over all lifts whose elements each fix something.
+vanishes exactly on sections.  Both are fixed linear algebra in the
+stacked translations u = (u_f), built once per group by _lift_maps:
+delta(u) = |R u|^2 is a least-squares residual and big_delta(u) =
+max_k |D_k u|^2 over the relators k.  delta_ratio_scan estimates, by
+sampling lifts, an empirical upper estimate of the infimum of
+big_delta / delta over all lifts whose elements each fix something.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .rng import STREAM_SCAN, substream
 from .semidirect import FiniteActionGroup, finite_group
@@ -145,12 +149,9 @@ class Lift:
     def element(self, f: int) -> IsometryElement:
         return IsometryElement(self.translations[f], self.group.matrices[f])
 
-    def elements(self) -> list[IsometryElement]:
-        return [self.element(f) for f in range(self.group.order)]
-
     @property
     def in_sigma(self) -> bool:
-        return not any(fix_set(g).empty for g in self.elements())
+        return not any(fix_set(self.element(f)).empty for f in range(self.group.order))
 
     def conjugate_by_translation(self, z: np.ndarray) -> "Lift":
         """Conjugating by x -> x + z shifts each translation by (I - A)z."""
@@ -174,49 +175,71 @@ def lift_from_json(doc: dict) -> Lift:
     return Lift(finite_group(mats), np.asarray(doc["translations"], dtype=float))
 
 
+@dataclass(frozen=True)
+class _LiftMaps:
+    """Fixed linear maps of a group's stacked translations u, (|F|, d) flattened."""
+
+    proj: np.ndarray     # (|F| d, |F| d) block diagonal: u_f onto range(A_f - I)
+    resid: np.ndarray    # (|F| d, |F| d): delta = |resid u|^2 on Sigma
+    centre: np.ndarray   # (d, |F| d): minimum-norm delta minimizer x* = centre u
+    defect: np.ndarray   # (|F|^2 d, |F| d): relator translations, d rows per (f1, f2)
+
+    def functionals(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(delta, big_delta) of stacked translations u of shape (..., |F| d) in Sigma."""
+        r = u @ self.resid.T
+        e = (u @ self.defect.T).reshape(u.shape[:-1] + (-1, self.centre.shape[0]))
+        return np.sum(r * r, axis=-1), np.max(np.sum(e * e, axis=-1), axis=-1)
+
+
+def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
+    """Build _LiftMaps; raises ValueError if a relator rotation is not the identity.
+
+    With M_f = A_f - I and u_f in its range, Fix(f) is at distance
+    |P_f x + M_f^+ u_f| from x, P_f the projector onto the row space of M_f.
+    """
+    mats = group.matrices
+    k, d = mats.shape[0], mats.shape[1]
+    proj, rows, rhs = [], [], []
+    for m in mats - np.eye(d):
+        col, s, row = np.linalg.svd(m)
+        r = int(np.sum(s > np.max(s, initial=1.0) * 1e-12))   # fix_set's rank cut
+        col, s, row = col[:, :r], s[:r], row[:r]
+        proj.append(col @ col.T)
+        rows.append(row.T @ row)
+        rhs.append(-(row.T / s) @ col.T)
+    rows, rhs = np.vstack(rows), block_diag(*rhs)
+    centre = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+
+    inv_prod = group.inverse[group.table]       # (f1, f2) -> (f1 f2)^{-1}
+    a12 = mats[:, None] @ mats[None, :]
+    if np.max(np.abs(a12 @ mats[inv_prod] - np.eye(d))) > ORTHO_TOL:
+        raise ValueError("corrupt lift: relator rotation is not the identity")
+    # relator translation u_f1 + A_f1 u_f2 + A_f1 A_f2 u_(f1 f2)^{-1}, per unit u
+    e = np.eye(k * d).reshape(k * d, k, d)
+    rel = (e[:, :, None] + np.einsum("aij,ncj->naci", mats, e)
+           + np.einsum("acij,nacj->naci", a12, e[:, inv_prod]))
+    return _LiftMaps(proj=block_diag(*proj), resid=rows @ centre - rhs, centre=centre,
+                     defect=rel.reshape(k * d, -1).T)
+
+
 def delta(lift: Lift) -> tuple[float, np.ndarray]:
     """Least sum of squared distances to all fixed-point sets, with a minimizer.
 
-    Each distance is ||(I - P_g)(x - p_g)|| with P_g the orthogonal
-    projector onto the direction space of Fix(g); stacking the rows gives
-    one least-squares problem in x.
+    Raises ValueError unless each u_f lies in range(A_f - I) up to
+    FIX_TOL * max(|u_f|, 1), the test fix_set applies.
     """
-    d = lift.group.matrices.shape[1]
-    rows, rhs = [], []
-    for g in lift.elements():
-        fx = fix_set(g)
-        if fx.empty:
-            raise ValueError("lift is not in Sigma: an element has no fixed point")
-        proj = np.eye(d) - fx.directions.T @ fx.directions
-        rows.append(proj)
-        rhs.append(proj @ fx.point)
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    val = float(np.sum((a @ x - b) ** 2))
-    return val, x
+    maps = _lift_maps(lift.group)
+    t = lift.translations
+    u = t.ravel()
+    off = np.linalg.norm((u - maps.proj @ u).reshape(t.shape), axis=1)
+    if np.any(off > FIX_TOL * np.maximum(np.linalg.norm(t, axis=1), 1.0)):
+        raise ValueError("lift is not in Sigma: an element has no fixed point")
+    return float(maps.functionals(u)[0]), maps.centre @ u
 
 
 def big_delta(lift: Lift) -> float:
     """Worst squared translation defect over all products f1 f2 (f1 f2)^{-1}."""
-    group = lift.group
-    mats = group.matrices
-    trans = lift.translations
-    worst = 0.0
-    for f1 in range(group.order):
-        g3 = group.table[f1]                      # indices of f1 f2
-        # translation of lift(f1) lift(f2): u1 + A1 u2, all f2 at once
-        prod_t = trans[f1][None, :] + trans @ mats[f1].T
-        inv3 = group.inverse[g3]
-        for f2 in range(group.order):
-            a12 = mats[f1] @ mats[f2]
-            k = inv3[f2]
-            full_rot = a12 @ mats[k]
-            if np.max(np.abs(full_rot - np.eye(mats.shape[1]))) > ORTHO_TOL:
-                raise ValueError("corrupt lift: relator rotation is not the identity")
-            defect = prod_t[f2] + a12 @ trans[k]
-            worst = max(worst, float(defect @ defect))
-    return worst
+    return float(_lift_maps(lift.group).functionals(lift.translations.ravel())[1])
 
 
 @dataclass(frozen=True)
@@ -236,63 +259,37 @@ class ScanResult:
         return np.column_stack([idx, self.deltas_raw, self.ratios, self.ratios])
 
 
-def _normalize_lift(group: FiniteActionGroup, raw: np.ndarray):
-    """Project translations into range(A_f - I), centre the minimizer, set delta = 1."""
-    d = group.matrices.shape[1]
-    trans = np.empty_like(raw)
-    for f in range(group.order):
-        m = group.matrices[f] - np.eye(d)
-        u_svd, s_svd, vt = np.linalg.svd(m)
-        rank = int(np.sum(s_svd > max(s_svd[0], 1.0) * 1e-12)) if s_svd.size else 0
-        basis = u_svd[:, :rank]
-        trans[f] = basis @ (basis.T @ raw[f])
-    lift = Lift(group, trans)
-    val, x_star = delta(lift)
-    if val <= SECTION_DELTA_TOL:
-        return None
-    lift = lift.conjugate_by_translation(-x_star).scale(1.0 / np.sqrt(val))
-    return lift, val
-
-
-def _scan_chunk(group: FiniteActionGroup, seed: int, chunk: int, count: int):
+def _scan_chunk(maps: _LiftMaps, seed: int, chunk: int, count: int):
+    """One chunk of draws projected into Sigma, with their delta and big_delta."""
     rng = substream(seed, STREAM_SCAN, chunk)
-    d = group.matrices.shape[1]
-    draws = rng.normal(size=(count, group.order, d))
-    deltas, ratios, lifts = [], [], []
-    skipped = 0
-    for r in range(count):
-        norm = _normalize_lift(group, draws[r])
-        if norm is None:
-            skipped += 1
-            continue
-        lift, val = norm
-        deltas.append(val)
-        ratios.append(big_delta(lift))
-        lifts.append(lift)
-    return deltas, ratios, lifts, skipped
+    u = rng.normal(size=(count, maps.proj.shape[0])) @ maps.proj.T
+    return (u,) + maps.functionals(u)
 
 
 def delta_ratio_scan(group: FiniteActionGroup, replications: int,
                      seed: int) -> ScanResult:
-    """Sample lifts with delta = 1 and report the smallest observed big_delta.
+    """Sample lifts and report the smallest observed big_delta / delta.
 
-    Translations are drawn standard normal, projected so every element
-    keeps a fixed point, conjugated so the delta minimizer sits at the
-    origin, and rescaled to delta = 1; big_delta of the result equals the
-    ratio of the two functionals.  The minimum over the sample is an
-    empirical upper estimate of the true infimum (more samples can only
-    lower it), never a certificate.
+    Translations are drawn standard normal and projected so every element
+    keeps a fixed point; near sections (delta <= SECTION_DELTA_TOL) are
+    skipped.  Each ratio is big_delta of the draw centred on its delta
+    minimizer and rescaled to delta = 1, the form of the returned argmin
+    lift.  The minimum is an empirical upper estimate of the true infimum
+    (more samples can only lower it), never a certificate.
     """
-    results = [_scan_chunk(group, seed, i, min(SCAN_CHUNK, replications - lo))
-               for i, lo in enumerate(range(0, replications, SCAN_CHUNK))]
-    deltas = np.array([v for res in results for v in res[0]])
-    ratios = np.array([v for res in results for v in res[1]])
-    lifts = [lf for res in results for lf in res[2]]
-    skipped = sum(res[3] for res in results)
+    maps = _lift_maps(group)
+    chunks = [_scan_chunk(maps, seed, i, min(SCAN_CHUNK, replications - lo))
+              for i, lo in enumerate(range(0, replications, SCAN_CHUNK))]
+    u, deltas, worst = (np.concatenate(parts) for parts in zip(*chunks))
+    keep = deltas > SECTION_DELTA_TOL
+    u, deltas = u[keep], deltas[keep]
+    ratios = worst[keep] / deltas
     if ratios.size == 0:
         raise ValueError("no Sigma members sampled: the action admits only sections")
     best = int(np.argmin(ratios))
-    hist = np.histogram(ratios, bins=50)
+    argmin_lift = Lift(group, u[best].reshape(group.order, -1)).conjugate_by_translation(
+        -(maps.centre @ u[best])).scale(1.0 / np.sqrt(deltas[best]))
     return ScanResult(c_hat=float(ratios[best]), ratios=ratios,
-                      deltas_raw=deltas, kept=int(ratios.size), skipped=skipped,
-                      argmin_lift=lifts[best], histogram=hist)
+                      deltas_raw=deltas, kept=int(ratios.size),
+                      skipped=replications - int(ratios.size),
+                      argmin_lift=argmin_lift, histogram=np.histogram(ratios, bins=50))

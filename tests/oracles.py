@@ -177,3 +177,58 @@ def gaussian_p_norm(p):
 def exponential_p_norm(p):
     """||Exp(1)||_p = Gamma(p+1)^(1/p)."""
     return math.gamma(p + 1.0) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# isometry-lift functionals
+
+
+def dispersion_oracle(fixed_sets):
+    """(min over x of sum_f dist(x, Fix_f)^2, minimum-norm minimizer).
+
+    Distances come straight from each set's point and direction rows.  The
+    objective q is a convex quadratic, so its gradient and Hessian at the
+    origin are exact combinations of q at the unit vectors (polarisation),
+    and one pseudo-inverse Newton step lands on the minimum.
+    """
+    dim = fixed_sets[0].point.size
+
+    def q(x):
+        total = 0.0
+        for fs in fixed_sets:
+            r = x - fs.point
+            r = r - (r @ fs.directions.T) @ fs.directions
+            total += float(r @ r)
+        return total
+
+    e = np.eye(dim)
+    q0 = q(np.zeros(dim))
+    grad = np.array([(q(e[i]) - q(-e[i])) / 2.0 for i in range(dim)])
+    hess = np.array([[q(e[i] + e[j]) - q(e[i]) - q(e[j]) + q0 for j in range(dim)]
+                     for i in range(dim)])
+    x = -np.linalg.pinv(hess, rcond=1e-10) @ grad
+    return q(x), x
+
+
+def relator_defect_oracle(mats, trans):
+    """max over f1, f2 of |translation of lift(f1) lift(f2) lift((f1 f2)^-1)|^2.
+
+    Products are (d+1) x (d+1) affine matrices, and (f1 f2)^-1 is found by
+    searching the representation for (A_f1 A_f2)^T, not through a Cayley
+    table.
+    """
+    k, d = trans.shape
+    aff = np.zeros((k, d + 1, d + 1))
+    aff[:, :d, :d] = mats
+    aff[:, :d, d] = trans
+    aff[:, d, d] = 1.0
+    worst = 0.0
+    for f1 in range(k):
+        for f2 in range(k):
+            target = (mats[f1] @ mats[f2]).T
+            g = int(np.argmin(np.abs(mats - target).max(axis=(1, 2))))
+            e = aff[f1] @ aff[f2] @ aff[g]
+            if np.max(np.abs(e[:d, :d] - np.eye(d))) > 1e-10:
+                raise AssertionError("no element inverts the product")
+            worst = max(worst, float(e[:d, d] @ e[:d, d]))
+    return worst

@@ -260,7 +260,10 @@ NO_FILES_MANIFEST = {"schema_version": 1, "kind": "algebra-check",
                "config": {"schema_version": 1, "kind": "algebra-check",
                           "preset": "heisenberg"}, "seed": 0}
 
-# (id, file name -> JSON text, argv before --out, exit code)
+WALK_CSV_COLUMNS = "# columns: replicate n M M_scaled y_norm q_index layer_1\n"
+WALK_CSV_ROWS = "0,4,1,1,1,0,1\n1,4,2,2,2,0,2\n0,8,3,1.5,3,0,3\n1,8,1,0.5,1,0,1\n"
+
+# (id, file name -> file text, argv before --out, exit code)
 MALFORMED = [
     ("walk-no-dim", {"c.json": json.dumps(inline_walk(
         algebra={"step": 2, "brackets": []}))},
@@ -299,6 +302,25 @@ MALFORMED = [
      ["replay", "--manifest", "m.json"], 4),
     ("manifest-with-empty-files", {"m.json": json.dumps(dict(NO_FILES_MANIFEST, files={}))},
      ["replay", "--manifest", "m.json"], 4),
+    ("fit-csv-without-columns-line", {"w.csv": WALK_CSV_ROWS},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-csv-ragged-row", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS + "2,8,1\n"},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-csv-without-n", {"w.csv": "# columns: replicate M_scaled\n0,1\n1,2\n"},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-lil-without-y-norm", {"w.csv": "# columns: n M_scaled\n4,1\n4,2\n8,1\n8,3\n"},
+     ["fit", "--csv", "w.csv", "--lil-alpha", "0.5"], 2),
+    ("fit-lil-missing-replicate", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS
+                                   + "2,8,1,0.5,1,0,1\n"},
+     ["fit", "--csv", "w.csv", "--lil-alpha", "0.5"], 2),
+    ("walk-nan-eps", {}, ["walk", "--preset", "r1-flip-eps", "--eps", "nan"], 2),
+    ("algebra-check-nan-drift", {},
+     ["algebra-check", "--preset", "heisenberg", "--v", "nan,0,0"], 2),
+    ("fit-nan-lil-alpha", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS},
+     ["fit", "--csv", "w.csv", "--lil-alpha", "nan"], 2),
+    ("config-file-nan-eps", {"c.json": '{"schema_version": 1, "kind": "walk", '
+                                       '"preset": "r1-flip-eps", "eps": NaN}'},
+     ["walk", "--config", "c.json"], 2),
 ]
 
 
@@ -331,7 +353,8 @@ def _paths(node, prefix=()):
 INLINE_PATHS = list(_paths(INLINE_WALK))
 # (kind, value): "set" covers wrong types and out-of-range numbers
 MUTATIONS = [("drop", None), ("ragged", None)] + [
-    ("set", v) for v in (None, "x", True, 1.5, [], {}, [[1]], -1, 0, 7)]
+    ("set", v) for v in (None, "x", True, 1.5, [], {}, [[1]], -1, 0, 7,
+                         float("nan"), float("inf"))]
 
 
 def _mutate(doc, path, kind, value):

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from nilwalk import groups
+from nilwalk.presets import build_split_group
+from nilwalk.rng import STREAM_SCAN, substream
 from nilwalk.semidirect import FiniteActionGroup, finite_group
-from nilwalk.splitting import (IsometryElement, Lift, big_delta, delta,
-                               delta_ratio_scan, fix_decompose, fix_set,
-                               identity_isometry, lift_from_json)
+from nilwalk.splitting import (SCAN_CHUNK, SECTION_DELTA_TOL, IsometryElement,
+                               Lift, big_delta, delta, delta_ratio_scan,
+                               fix_decompose, fix_set, identity_isometry,
+                               lift_from_json)
+from oracles import dispersion_oracle, relator_defect_oracle
 
 
 def rot90():
@@ -144,6 +148,59 @@ def test_big_delta_rejects_corrupt_table():
                             identity=good.identity, inverse=good.inverse)
     with pytest.raises(ValueError):
         big_delta(Lift(bad, np.zeros((4, 2))))
+    with pytest.raises(ValueError):
+        delta_ratio_scan(bad, 16, seed=0)
+
+
+def split_group(name):
+    return finite_group(groups.cyclic_rotations(4)) if name == "c4" \
+        else build_split_group(name)
+
+
+def oracle_functionals(group, trans):
+    """(delta, minimizer, Delta) of a Sigma lift through tests/oracles.py."""
+    sets = [fix_set(IsometryElement(u, a)) for u, a in zip(trans, group.matrices)]
+    val, x = dispersion_oracle(sets)
+    return val, x, relator_defect_oracle(group.matrices, trans)
+
+
+@pytest.mark.parametrize("name", ["c4", "d4-r2", "s3-r2"])
+def test_functionals_match_oracles_on_random_sigma_lifts(name):
+    """u_f = (I - A_f) z_f fixes z_f, so every such lift lies in Sigma."""
+    group = split_group(name)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        z = rng.normal(size=(group.order, 2)) * 3.0
+        lift = Lift(group, z - np.einsum("fij,fj->fi", group.matrices, z))
+        want_d, want_x, want_big = oracle_functionals(group, lift.translations)
+        val, x = delta(lift)
+        assert val == pytest.approx(want_d, rel=1e-9)
+        assert np.allclose(x, want_x, rtol=0, atol=1e-9 * max(1.0, np.abs(want_x).max()))
+        assert big_delta(lift) == pytest.approx(want_big, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["d4-r2", "s3-r2"])
+def test_scan_first_chunk_matches_oracles(name):
+    """Redraw the first chunk and score its kept draws through the oracles.
+
+    Each u_f is projected onto range(A_f - I) by least squares; the ratio
+    is Delta / delta, since Delta ignores conjugation by translations.
+    """
+    group = split_group(name)
+    res = delta_ratio_scan(group, SCAN_CHUNK + 40, seed=4)
+    draws = substream(4, STREAM_SCAN, 0).normal(size=(SCAN_CHUNK, group.order, 2))
+    m = group.matrices - np.eye(2)
+    kept = 0
+    for raw in draws:
+        trans = np.array([mf @ np.linalg.lstsq(mf, u, rcond=None)[0]
+                          for mf, u in zip(m, raw)])
+        val, _, big = oracle_functionals(group, trans)
+        if val <= SECTION_DELTA_TOL:
+            continue
+        assert res.deltas_raw[kept] == pytest.approx(val, rel=1e-12)
+        assert res.ratios[kept] == pytest.approx(big / val, rel=1e-12)
+        kept += 1
+    assert kept > 0
 
 
 def test_scan_normalizes_and_reports():
