@@ -285,8 +285,11 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     if missing:
         raise SchemaError(f"columns {missing} not in {path} (has {names})")
     ci, ni = names.index(col), names.index("n")
-    ns = np.unique(data[:, ni]).astype(int)
-    samples = {int(nv): data[data[:, ni] == nv, ci] for nv in ns}
+    steps = data[:, ni]
+    if np.any((steps < 1) | (steps > 2.0 ** 53) | (steps != np.floor(steps))):
+        raise SchemaError(f"{path}: n must be a positive integer at most 2^53")
+    ns = np.unique(steps).astype(int)
+    samples = {int(nv): data[steps == nv, ci] for nv in ns}
     fit = fit_alpha(samples, seed=cfg["seed"], n_bootstrap=cfg["bootstrap"])
 
     report = {

@@ -133,7 +133,7 @@ def attach_file_hashes(doc: dict, out_dir: str, names) -> dict:
 
 
 def read_csv_columns(path: str):
-    """(data array, column names) from a header-commented CSV."""
+    """(data array, column names) from a header-commented CSV of finite numbers."""
     names = None
     with open(path) as fh:
         for line in fh:
@@ -147,4 +147,6 @@ def read_csv_columns(path: str):
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: {data.shape[1]} columns, header names {len(names)}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value in the data")
     return data, names

@@ -18,7 +18,11 @@ bracket_hull
     coefficient mass of the degree-i BCH polynomial) the resulting gauge
     has bilinearity constant <= 1 and a subadditive group norm.  Gauge
     evaluation uses the hull's facet description, so it errs on the large
-    side when the sampled hull misses extreme points.
+    side when the sampled hull misses extreme points.  A 2-D layer (a
+    polygon) is evaluated by an angular facet lookup: a binary search over
+    the vertex angles finds the facet the ray through x hits, and only it
+    and its two neighbours are evaluated.  Other hull layers take the max
+    over all facets.
 
 Degenerate layers (dimension zero, or a hull that does not span its
 layer) fall back to scaled euclidean and are flagged.
@@ -46,6 +50,8 @@ class HomogeneousNorm:
     kappa: tuple[float, ...]
     hull_vertices: tuple[np.ndarray | None, ...]   # layer coords, per weight
     hull_facets: tuple[np.ndarray | None, ...]     # rows (a..., b): a.x <= b
+    # 2-D hull layers only: (sorted start-vertex angles, facet rows in that order)
+    hull_angular: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
     fallback_weights: tuple[int, ...]
     bilinearity_bound: float
 
@@ -88,9 +94,31 @@ def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.n
     facets = norm.hull_facets[i]
     if facets is None:
         return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
+    if norm.hull_angular[i] is not None:
+        return _polygon_gauge(*norm.hull_angular[i], coords)
     a, b = facets[:, :-1], facets[:, -1]
     ratios = coords @ a.T
     ratios /= b         # in place: one (rows, facets) temporary per call, not two
+    return np.max(ratios, axis=-1)
+
+
+def _polygon_gauge(angles: np.ndarray, facets: np.ndarray,
+                   coords: np.ndarray) -> np.ndarray:
+    """max_j a_j.x / b_j over a polygon's facets, from the facet the ray through x hits.
+
+    Facet j spans the angles [angles[j], angles[j + 1]) (cyclically).  For a
+    convex polygon around the origin a_j.x / b_j is unimodal in that cyclic
+    order and peaks at the hit facet; its two neighbours absorb rounding in
+    the angle of x near a vertex.
+    """
+    hit = np.searchsorted(angles, np.arctan2(coords[..., 1], coords[..., 0]),
+                          side="right") - 1
+    near = facets[(hit[..., None] + np.arange(-1, 2)) % len(facets)]  # (..., 3, 3)
+    # contiguous (2, 3) blocks go through the same BLAS kernel as a dense
+    # coords @ a.T, so each a.x rounds as it would there
+    a_t = np.ascontiguousarray(near[..., :2].swapaxes(-1, -2))
+    ratios = (coords[..., None, :] @ a_t)[..., 0, :]
+    ratios /= near[..., 2]
     return np.max(ratios, axis=-1)
 
 
@@ -176,13 +204,18 @@ def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
 # construction
 
 def _hull_layer(vertices: np.ndarray):
-    """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}); None if degenerate."""
+    """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}, angular table).
+
+    The angular table, for 2-D layers only (None otherwise), holds the
+    sorted angles of each facet's counter-clockwise start vertex and the
+    facet rows in that order.  Returns None if the hull is degenerate.
+    """
     k = vertices.shape[1]
     if k == 1:
         top = float(np.max(np.abs(vertices)))
         if top <= 0.0:
             return None
-        return np.array([[top], [-top]]), np.array([[1.0, top], [-1.0, top]])
+        return np.array([[top], [-top]]), np.array([[1.0, top], [-1.0, top]]), None
     rank = np.linalg.matrix_rank(vertices, rtol=1e-10)
     if rank < k:
         return None
@@ -192,7 +225,16 @@ def _hull_layer(vertices: np.ndarray):
     a, b = eqs[:, :-1], -eqs[:, -1]
     if np.any(b <= 0):  # origin not interior
         return None
-    return vertices[np.sort(hull.vertices)], np.hstack([a, b[:, None]])
+    facets = np.hstack([a, b[:, None]])
+    angular = None
+    if k == 2:
+        ends = vertices[hull.simplices]                      # (F, 2, 2)
+        ccw = ends[:, 0, 0] * ends[:, 1, 1] > ends[:, 0, 1] * ends[:, 1, 0]
+        start = np.where(ccw[:, None], ends[:, 0], ends[:, 1])
+        angles = np.arctan2(start[:, 1], start[:, 0])
+        order = np.argsort(angles)
+        angular = angles[order], facets[order]
+    return vertices[np.sort(hull.vertices)], facets, angular
 
 
 def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
@@ -213,12 +255,13 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
     scales = [1.0] * depth
     hull_v: list[np.ndarray | None] = [None] * depth
     hull_f: list[np.ndarray | None] = [None] * depth
+    hull_a: list[tuple[np.ndarray, np.ndarray] | None] = [None] * depth
     fallback: list[int] = []
 
     norm = HomogeneousNorm(filtration=filt, mode=mode, layer_scales=tuple(scales),
                            kappa=kap, hull_vertices=tuple(hull_v),
-                           hull_facets=tuple(hull_f), fallback_weights=(),
-                           bilinearity_bound=0.0)
+                           hull_facets=tuple(hull_f), hull_angular=tuple(hull_a),
+                           fallback_weights=(), bilinearity_bound=0.0)
 
     per_layer_pairs = max(256, calibration_pairs // max(1, depth - 1))
     for w in range(2, depth + 1):
@@ -230,13 +273,13 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
             verts = _build_hull_layer(alg, norm, w, kap[i], hull_samples, seed)
             hull = _hull_layer(verts) if verts is not None else None
             if hull is not None:
-                hull_v[i], hull_f[i] = hull
-                norm = _rebuild(norm, scales, hull_v, hull_f, fallback)
+                hull_v[i], hull_f[i], hull_a[i] = hull
+                norm = _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback)
                 continue
             fallback.append(w)
         # scaled euclidean path (default mode, or hull fallback)
         scales[i] = max(kap[i] * ce * scales[i - 1], 1e-300)
-        norm = _rebuild(norm, scales, hull_v, hull_f, fallback)
+        norm = _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback)
         rng = substream(seed, STREAM_GAUGE, 3, w)
         for _ in range(200):
             u = _sample_ball(rng, norm, per_layer_pairs, w - 1)
@@ -246,20 +289,21 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
             if worst <= 1.0:
                 break
             scales[i] *= 2.0
-            norm = _rebuild(norm, scales, hull_v, hull_f, fallback)
+            norm = _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback)
         else:
             raise RuntimeError(f"gauge calibration did not converge at weight {w}")
 
     bilin = bilinearity_constant(norm, alg, n_pairs=min(20_000, calibration_pairs),
                                  seed=seed)
-    return _rebuild(norm, scales, hull_v, hull_f, fallback, bilin)
+    return _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback, bilin)
 
 
-def _rebuild(norm: HomogeneousNorm, scales, hull_v, hull_f, fallback,
+def _rebuild(norm: HomogeneousNorm, scales, hull_v, hull_f, hull_a, fallback,
              bilin: float = 0.0) -> HomogeneousNorm:
     return HomogeneousNorm(filtration=norm.filtration, mode=norm.mode,
                            layer_scales=tuple(scales), kappa=norm.kappa,
                            hull_vertices=tuple(hull_v), hull_facets=tuple(hull_f),
+                           hull_angular=tuple(hull_a),
                            fallback_weights=tuple(sorted(fallback)),
                            bilinearity_bound=bilin)
 

@@ -232,3 +232,22 @@ def relator_defect_oracle(mats, trans):
                 raise AssertionError("no element inverts the product")
             worst = max(worst, float(e[:d, d] @ e[:d, d]))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# polytope gauges
+
+
+def polygon_gauge_oracle(facets, x):
+    """max over facet rows (a, b) of (a . x) / b, the gauge of {y : a.y <= b}.
+
+    A running maximum over every facet in turn, each a . x summed
+    coordinate by coordinate; no facet is skipped and no BLAS product is
+    used.  NaN in x gives NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape[:-1], -np.inf)
+    for row in np.asarray(facets, dtype=float):
+        dot = sum(x[..., c] * row[c] for c in range(x.shape[-1]))
+        out = np.maximum(out, dot / row[-1])
+    return out

@@ -313,6 +313,16 @@ MALFORMED = [
     ("fit-lil-missing-replicate", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS
                                    + "2,8,1,0.5,1,0,1\n"},
      ["fit", "--csv", "w.csv", "--lil-alpha", "0.5"], 2),
+    ("fit-csv-nan-cell", {"w.csv": WALK_CSV_COLUMNS + "0,4,1,nan,1,0,1\n" + WALK_CSV_ROWS},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-csv-inf-cell", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS + "2,8,1,0.5,inf,0,1\n"},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-csv-fractional-n", {"w.csv": WALK_CSV_COLUMNS + "0,4.5,1,1,1,0,1\n" + WALK_CSV_ROWS},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-csv-zero-n", {"w.csv": WALK_CSV_COLUMNS + "0,0,1,1,1,0,1\n" + WALK_CSV_ROWS},
+     ["fit", "--csv", "w.csv"], 2),
+    ("fit-csv-n-beyond-int64", {"w.csv": WALK_CSV_COLUMNS + "0,1e19,1,1,1,0,1\n" + WALK_CSV_ROWS},
+     ["fit", "--csv", "w.csv"], 2),
     ("walk-nan-eps", {}, ["walk", "--preset", "r1-flip-eps", "--eps", "nan"], 2),
     ("algebra-check-nan-drift", {},
      ["algebra-check", "--preset", "heisenberg", "--v", "nan,0,0"], 2),

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilwalk.algebra import lower_central_filtration, weighted_filtration
-from nilwalk.norms import (bilinearity_constant, build_gauge,
+from nilwalk.algebra import (layer_components, lower_central_filtration,
+                             weighted_filtration)
+from nilwalk.norms import (_hull_layer, _layer_gauge, _polygon_gauge,
+                           bilinearity_constant, build_gauge,
                            coefficient_mass_bound, default_kappas, dilate,
                            euclidean_bilinearity_bound, gauge_descriptor,
                            hom_norm, subadditivity_defect)
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
+
+from oracles import polygon_gauge_oracle
 
 
 def _gauges(alg, seed=0):
@@ -155,3 +159,61 @@ def test_unknown_mode_rejected():
     filt = lower_central_filtration(alg)
     with pytest.raises(ValueError):
         build_gauge(alg, filt, "taxicab")
+
+
+def _within_ulps(got, want, ulps=4):
+    """got equals want to ulps * eps relative; NaN exactly where want is NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    err = np.abs(got[~nan] - want[~nan])
+    bad = err > ulps * np.finfo(float).eps * np.abs(want[~nan])
+    assert not bad.any(), (got[~nan][bad], want[~nan][bad])
+
+
+def test_polygon_gauge_matches_oracle_on_engel5():
+    """The weight-3 layer of engel5's bracket-hull gauge is a polygon evaluated
+    by angular lookup; it must agree with a max over every facet."""
+    alg = free_step3_algebra()
+    filt = lower_central_filtration(alg)
+    norm = build_gauge(alg, filt, "bracket_hull", seed=0,
+                       calibration_pairs=20_000, hull_samples=512)
+    basis, facets, verts = filt.layers[2], norm.hull_facets[2], norm.hull_vertices[2]
+    assert basis.shape[0] == 2 and facets.shape[0] > 100
+    rng = np.random.default_rng(21)
+    coords = np.vstack([rng.normal(size=(20, 2)) * s for s in (1e-3, 1.0, 1e3)]
+                       + [np.zeros((2, 2)), verts, 1e-3 * verts, 1e3 * verts,
+                          [[-1.0, 0.0], [-1.0, -0.0], [-1e3, 0.0], [-1e-3, -0.0]],
+                          [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]]])
+    assert np.arctan2(-0.0, -1.0) == -np.pi and np.arctan2(0.0, -1.0) == np.pi
+
+    # the layer gauge on exact layer coordinates (keeps the signed zeros)
+    _within_ulps(_layer_gauge(norm, 3, coords), polygon_gauge_oracle(facets, coords))
+
+    # hom_norm of points in the weight-3 layer, batched and one at a time
+    x = coords @ basis
+    comps = layer_components(filt, x)
+    finite = ~np.isnan(coords).any(axis=1)
+    assert not comps[0][finite].any() and not comps[1][finite].any()
+    want = np.maximum(polygon_gauge_oracle(facets, comps[2]), 0.0) ** (1.0 / 3.0)
+    _within_ulps(hom_norm(norm, x), want)
+    pick = np.arange(0, 60, 3)      # random rows at all three scales
+    _within_ulps(hom_norm(norm, x[pick].reshape(4, 5, -1)), want[pick].reshape(4, 5))
+    # one row of each kind: random at three scales, zero, vertex, angle pi, NaN
+    for row in (0, 25, 45, 60, 62, -7, -6, -1):
+        got = hom_norm(norm, x[row])
+        assert isinstance(got, float)
+        _within_ulps(got, want[row])
+
+
+def test_polygon_lookup_covers_a_sharp_vertex_at_pi():
+    """A thin rhombus with a sharp vertex at angle pi.  Points within an ulp of
+    that angle round onto the vertex, where the two facets' values split by
+    far more than an ulp, so the lookup needs the neighbours of the facet the
+    rounded angle picks."""
+    verts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e-3], [0.0, -1e-3]])
+    _, facets, angular = _hull_layer(verts)
+    coords = np.array([[sx, t] for sx in (-1.0, -1e3, 1.0)
+                       for t in (0.0, -0.0, 1e-17, -1e-17, 1e-16, -1e-16)])
+    _within_ulps(_polygon_gauge(*angular, coords), polygon_gauge_oracle(facets, coords))
