@@ -112,10 +112,6 @@ class NilpotentAlgebra:
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.tensor)
 
 
-def bracket(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return alg.bracket(x, y)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -125,7 +121,7 @@ class ValidationReport:
     messages: tuple[str, ...] = ()
 
 
-def validate_algebra(alg: NilpotentAlgebra, tol: float = VALIDATE_TOL) -> ValidationReport:
+def validate_algebra(alg: NilpotentAlgebra) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity, and the declared step."""
     c = alg.tensor
     anti = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))))) if alg.dim else 0.0
@@ -142,10 +138,10 @@ def validate_algebra(alg: NilpotentAlgebra, tol: float = VALIDATE_TOL) -> Valida
     except ValueError:
         computed_step = -1
         msgs.append("lower central series does not terminate; not nilpotent")
-    if anti > tol:
-        msgs.append(f"antisymmetry residual {anti:.3e} exceeds {tol:.1e}")
-    if jacobi > tol:
-        msgs.append(f"jacobi residual {jacobi:.3e} exceeds {tol:.1e}")
+    if anti > VALIDATE_TOL:
+        msgs.append(f"antisymmetry residual {anti:.3e} exceeds {VALIDATE_TOL:.1e}")
+    if jacobi > VALIDATE_TOL:
+        msgs.append(f"jacobi residual {jacobi:.3e} exceeds {VALIDATE_TOL:.1e}")
     if computed_step >= 0 and computed_step != alg.step:
         msgs.append(f"computed step {computed_step} != declared step {alg.step}")
     return ValidationReport(
@@ -173,12 +169,11 @@ def _bracket_span(alg: NilpotentAlgebra, a: np.ndarray, b: np.ndarray) -> np.nda
     return orthonormal_basis(prods, floor=float(np.max(np.abs(alg.tensor))))
 
 
-def lower_central_series(alg: NilpotentAlgebra, max_depth: int | None = None) -> list[np.ndarray]:
+def lower_central_series(alg: NilpotentAlgebra) -> list[np.ndarray]:
     """[gamma_1, gamma_2, ...] down to and including the first zero ideal."""
     full = np.eye(alg.dim)
     series = [full]
-    limit = max_depth if max_depth is not None else alg.dim + 1
-    for _ in range(limit):
+    for _ in range(alg.dim + 1):
         nxt = _bracket_span(alg, full, series[-1])
         series.append(nxt)
         if nxt.shape[0] == 0:
@@ -291,6 +286,9 @@ def algebra_to_json(alg: NilpotentAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> NilpotentAlgebra:
+    unknown = set(data) - {"dim", "step", "brackets", "labels"}
+    if unknown:
+        raise ValueError(f"unknown algebra keys {sorted(unknown)}")
     dim = int(data["dim"])
     step = int(data["step"])
     tensor = np.zeros((dim, dim, dim))

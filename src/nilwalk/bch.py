@@ -112,14 +112,12 @@ def _eval_word(alg: NilpotentAlgebra, word: tuple[int, ...],
     return v
 
 
-def bch(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray,
-        order: int | None = None) -> np.ndarray:
+def bch(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log(exp x exp y) on the algebra, exact for its nilpotency step.
 
     Works on single vectors or batches of shape (..., d).
     """
-    degree = alg.step if order is None else min(order, alg.step)
-    table = dynkin_table(degree)
+    table = dynkin_table(alg.step)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape))

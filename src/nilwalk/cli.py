@@ -95,10 +95,14 @@ MANIFEST_CONFIG_KEYS = {
 
 
 def validate_config(cfg: dict) -> dict:
+    """cfg checked against the schema and its kind's keys, with DEFAULTS filled in."""
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.exceptions.ValidationError as exc:
         raise SchemaError(f"config rejected: {exc.message}") from exc
+    unread = sorted(set(cfg) - set(MANIFEST_CONFIG_KEYS[cfg["kind"]]) - {"seed"})
+    if unread:
+        raise SchemaError(f"config rejected: {cfg['kind']} does not read {unread}")
     try:
         json.dumps(cfg, allow_nan=False)
     except ValueError as exc:
@@ -193,7 +197,6 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
                           seed=cfg["seed"],
                           scaling_exponent=setup.scaling_exponent,
                           cross_check=cfg["cross_check"],
-                          conjugated=setup.conjugated,
                           **({"max_work": cfg["max_work"]} if cfg.get("max_work") else {}))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
@@ -290,6 +293,21 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
         raise SchemaError(f"{path}: n must be a positive integer at most 2^53")
     ns = np.unique(steps).astype(int)
     samples = {int(nv): data[steps == nv, ci] for nv in ns}
+    if cfg.get("lil_alpha") is not None:
+        # y_norm per replicate at each dyadic n >= 4, checked before any output
+        yi, ri = names.index("y_norm"), names.index("replicate")
+        dyadic = np.array([nv for nv in ns if nv >= 4 and (nv & (nv - 1)) == 0])
+        if dyadic.size == 0:
+            raise SchemaError(f"{path}: --lil-alpha needs a checkpoint n >= 4 "
+                              "that is a power of two")
+        reps = np.unique(data[:, ri])
+        mat = np.empty((reps.size, dyadic.size))
+        for j, nv in enumerate(dyadic):
+            rows = data[steps == nv]
+            order = np.argsort(rows[:, ri])
+            if not np.array_equal(rows[order, ri], reps):
+                raise SchemaError(f"{path}: n={int(nv)} does not have one row per replicate")
+            mat[:, j] = rows[order, yi]
     fit = fit_alpha(samples, seed=cfg["seed"], n_bootstrap=cfg["bootstrap"])
 
     report = {
@@ -321,17 +339,6 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     files = ["fit-tail.csv"]
 
     if cfg.get("lil_alpha") is not None:
-        yi = names.index("y_norm")
-        ri = names.index("replicate")
-        dyadic = np.array([nv for nv in ns if nv >= 4 and (nv & (nv - 1)) == 0])
-        reps = np.unique(data[:, ri])
-        mat = np.empty((reps.size, dyadic.size))
-        for j, nv in enumerate(dyadic):
-            rows = data[data[:, ni] == nv]
-            order = np.argsort(rows[:, ri])
-            if not np.array_equal(rows[order, ri], reps):
-                raise SchemaError(f"{path}: n={int(nv)} does not have one row per replicate")
-            mat[:, j] = rows[order, yi]
         lil = lil_diagnostic(dyadic, mat, alpha=cfg["lil_alpha"])
         report["lil"] = {
             "alpha": lil.alpha,

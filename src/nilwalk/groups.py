@@ -7,7 +7,7 @@ import numpy as np
 MATCH_TOL = 1e-10
 
 
-def cayley_from_matrices(mats: np.ndarray, tol: float = MATCH_TOL):
+def cayley_from_matrices(mats: np.ndarray):
     """(table, identity_index, inverse) for a closed list of matrices.
 
     table[i, j] is the index of mats[i] @ mats[j].  Raises if the list is
@@ -21,13 +21,13 @@ def cayley_from_matrices(mats: np.ndarray, tol: float = MATCH_TOL):
         raise ValueError("matrix entries must be finite")
     for i in range(k):
         for j in range(i + 1, k):
-            if np.max(np.abs(mats[i] - mats[j])) <= tol:
+            if np.max(np.abs(mats[i] - mats[j])) <= MATCH_TOL:
                 raise ValueError(f"duplicate group elements at {i}, {j}")
 
     def find(m):
         diffs = np.max(np.abs(mats - m[None]), axis=(1, 2))
         idx = int(np.argmin(diffs))
-        if diffs[idx] > tol:
+        if diffs[idx] > MATCH_TOL:
             raise ValueError("matrix list is not closed under products")
         return idx
 

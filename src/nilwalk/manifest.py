@@ -24,15 +24,18 @@ FLOAT_FMT = "%.17g"
 
 
 def jsonify(obj):
-    """Recursively convert numpy containers into plain JSON-ready values."""
+    """Recursively convert numpy containers into plain JSON-ready values.
+
+    NaN and infinite floats become null, which JSON can represent.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -119,7 +122,7 @@ def write_scan_csv(path: str, scan: ScanResult, preset: str, seed: int,
 
 
 def write_manifest(path: str, doc: dict) -> None:
-    body = json.dumps(jsonify(doc), sort_keys=True, indent=2)
+    body = json.dumps(jsonify(doc), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(body)
         fh.write("\n")

@@ -14,7 +14,7 @@ bracket_hull
     Layer one is euclidean; the weight-i unit ball is the convex hull of
     kappa_i * [u, w] over boundary pairs u in the layer-one sphere and w in
     the boundary of the weight-(i-1) ball, projected to the layer.  With
-    the default kappa_i = 2 i^2 A_i (A_i an upper bound for the absolute
+    kappa_i = 2 i^2 A_i (A_i an upper bound for the absolute
     coefficient mass of the degree-i BCH polynomial) the resulting gauge
     has bilinearity constant <= 1 and a subadditive group norm.  Gauge
     evaluation uses the hull's facet description, so it errs on the large
@@ -184,17 +184,16 @@ def bilinearity_constant(norm: HomogeneousNorm, alg: NilpotentAlgebra,
 
 
 def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int = 10_000, box_radius: float = 1.0,
-                         seed: int = 0):
-    """max |u * v| - |u| - |v| over pairs sampled in a euclidean box.
+                         n_pairs: int = 10_000, seed: int = 0):
+    """max |u * v| - |u| - |v| over pairs sampled in the euclidean box [-1, 1]^d.
 
     Returns (defect, (u, v)) with the maximizing pair; a positive defect
     exhibits a violation of the triangle inequality.
     """
     rng = substream(seed, STREAM_GAUGE, 2)
     d = alg.dim
-    u = rng.uniform(-box_radius, box_radius, size=(n_pairs, d))
-    v = rng.uniform(-box_radius, box_radius, size=(n_pairs, d))
+    u = rng.uniform(-1.0, 1.0, size=(n_pairs, d))
+    v = rng.uniform(-1.0, 1.0, size=(n_pairs, d))
     defects = hom_norm(norm, bch(alg, u, v)) - hom_norm(norm, u) - hom_norm(norm, v)
     k = int(np.argmax(defects))
     return float(defects[k]), (u[k], v[k])
@@ -239,7 +238,6 @@ def _hull_layer(vertices: np.ndarray):
 
 def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
                 mode: str = "scaled_euclidean",
-                kappa: tuple[float, ...] | None = None,
                 seed: int = 0,
                 calibration_pairs: int = DEFAULT_CALIBRATION_PAIRS,
                 hull_samples: int = DEFAULT_HULL_SAMPLES) -> HomogeneousNorm:
@@ -247,9 +245,7 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
     if mode not in ("scaled_euclidean", "bracket_hull"):
         raise ValueError(f"unknown gauge mode {mode!r}")
     depth = filt.depth
-    kap = tuple(kappa) if kappa is not None else default_kappas(depth)
-    if len(kap) < depth:
-        raise ValueError(f"need {depth} kappa values, got {len(kap)}")
+    kap = default_kappas(depth)
     ce = max(1.0, euclidean_bilinearity_bound(alg))
 
     scales = [1.0] * depth

@@ -59,8 +59,7 @@ class QValidation:
     messages: tuple[str, ...] = ()
 
 
-def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup,
-               tol: float = Q_TOL) -> QValidation:
+def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> QValidation:
     """Check orthogonality, closure, and the automorphism property.
 
     Automorphism means Ad(k)[x, y] = [Ad(k) x, Ad(k) y] for every k.
@@ -75,13 +74,13 @@ def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup,
         auto = max(auto, float(np.max(np.abs(left - right))))
     closure_ok = True
     try:
-        groups.cayley_from_matrices(mats, tol=tol)
+        groups.cayley_from_matrices(mats)
     except ValueError:
         closure_ok = False
     msgs = []
-    if ortho > tol:
+    if ortho > Q_TOL:
         msgs.append(f"orthogonality residual {ortho:.3e}")
-    if auto > tol:
+    if auto > Q_TOL:
         msgs.append(f"automorphism residual {auto:.3e}")
     if not closure_ok:
         msgs.append("matrix list is not a closed group")

@@ -18,7 +18,7 @@ by side, never averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -31,16 +31,15 @@ BOUNDED_SUPPORT_ALPHA = 5.0
 N_BOOTSTRAP = 1000
 
 
-def tail_curve(samples: np.ndarray, thresholds: np.ndarray,
-               level: float = 0.05):
-    """(p_hat, lower, upper) exceedance estimates with Clopper-Pearson bands."""
+def tail_curve(samples: np.ndarray, thresholds: np.ndarray):
+    """(p_hat, lower, upper) exceedance estimates with 95% Clopper-Pearson bands."""
     x = np.abs(np.asarray(samples, dtype=float))
     t = np.asarray(thresholds, dtype=float)
     n = x.size
     k = (x[None, :] >= t[:, None]).sum(axis=1)
     p_hat = k / n
-    lo = np.where(k == 0, 0.0, beta_dist.ppf(level / 2, np.maximum(k, 1), n - np.maximum(k, 1) + 1))
-    hi = np.where(k == n, 1.0, beta_dist.ppf(1 - level / 2, k + 1, np.maximum(n - k, 1)))
+    lo = np.where(k == 0, 0.0, beta_dist.ppf(0.025, np.maximum(k, 1), n - np.maximum(k, 1) + 1))
+    hi = np.where(k == n, 1.0, beta_dist.ppf(0.975, k + 1, np.maximum(n - k, 1)))
     return p_hat, lo, hi
 
 
@@ -60,9 +59,9 @@ class ConcentrationFit:
     flags: tuple[str, ...] = ()
 
 
-def _family_norms(groups: list[np.ndarray], orders) -> np.ndarray:
+def _family_norms(groups: list[np.ndarray]) -> np.ndarray:
     out = []
-    for p in orders:
+    for p in MOMENT_ORDERS:
         vals = [float(np.mean(np.abs(g) ** p) ** (1.0 / p)) for g in groups]
         out.append(max(vals))
     return np.array(out)
@@ -77,24 +76,24 @@ def _sup_tail(groups: list[np.ndarray], t: np.ndarray) -> np.ndarray:
     return p
 
 
-def _tail_grid(groups: list[np.ndarray], window) -> np.ndarray:
+def _tail_grid(groups: list[np.ndarray]) -> np.ndarray:
     pooled = np.sort(np.abs(np.concatenate(groups)))
     n = pooled.size
-    lo_p = max(window[0], 2.0 / n)
-    probs = np.geomspace(window[1], lo_p, 25)
+    lo_p = max(TAIL_WINDOW[0], 2.0 / n)
+    probs = np.geomspace(TAIL_WINDOW[1], lo_p, 25)
     idx = np.clip((np.ceil((1.0 - probs) * n) - 1).astype(int), 0, n - 1)
     return np.unique(pooled[idx])
 
 
-def _fit_alpha_once(groups, orders, t_grid, window):
-    fam = _family_norms(groups, orders)
-    lp = np.log(np.asarray(orders, dtype=float))
+def _fit_alpha_once(groups, t_grid):
+    fam = _family_norms(groups)
+    lp = np.log(np.asarray(MOMENT_ORDERS, dtype=float))
     slope, intercept = np.polyfit(lp, np.log(fam), 1)
     alpha_m = 1.0 / slope if slope > 0 else np.inf
     c_m = float(np.exp(intercept))
 
     p_hat = _sup_tail(groups, t_grid)
-    mask = (p_hat >= window[0]) & (p_hat <= window[1]) & (t_grid > 0) & (p_hat < 1)
+    mask = (p_hat >= TAIL_WINDOW[0]) & (p_hat <= TAIL_WINDOW[1]) & (t_grid > 0) & (p_hat < 1)
     if mask.sum() >= 3:
         x = np.log(t_grid[mask])
         yv = np.log(-np.log(p_hat[mask]))
@@ -105,13 +104,13 @@ def _fit_alpha_once(groups, orders, t_grid, window):
 
 
 def fit_alpha(samples_by_n: dict[int, np.ndarray],
-              orders=MOMENT_ORDERS, window=TAIL_WINDOW,
               n_bootstrap: int = N_BOOTSTRAP, seed: int = 0) -> ConcentrationFit:
     """Joint concentration-exponent fit for a family of sample groups.
 
-    The moment route regresses the family norm sup_n ||f_n||_p on p; the
-    tail route regresses the double log of the family exceedance on log t
-    inside the window.  Confidence intervals are percentile bootstrap.
+    The moment route regresses the family norm sup_n ||f_n||_p on p over
+    MOMENT_ORDERS; the tail route regresses the double log of the family
+    exceedance on log t inside TAIL_WINDOW.  Confidence intervals are
+    percentile bootstrap.
     """
     groups = [np.abs(np.asarray(v, dtype=float).ravel()) for v in samples_by_n.values()]
     if not groups:
@@ -119,8 +118,8 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray],
     flags = []
     if all(float(np.std(g)) < 1e-15 for g in groups):
         flags.append("degenerate-samples")
-    t_grid = _tail_grid(groups, window)
-    alpha_m, c_m, alpha_t, p_hat, mask = _fit_alpha_once(groups, orders, t_grid, window)
+    t_grid = _tail_grid(groups)
+    alpha_m, c_m, alpha_t, p_hat, mask = _fit_alpha_once(groups, t_grid)
     if mask.sum() < 3:
         flags.append("tail-window-too-narrow")
 
@@ -128,7 +127,7 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray],
     boots_m, boots_t = [], []
     for _ in range(n_bootstrap):
         res = [g[rng.integers(0, g.size, g.size)] for g in groups]
-        am, _, at, _, bmask = _fit_alpha_once(res, orders, t_grid, window)
+        am, _, at, _, _ = _fit_alpha_once(res, t_grid)
         boots_m.append(am)
         if np.isfinite(at):
             boots_t.append(at)
@@ -150,19 +149,20 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray],
         alpha_moments=float(alpha_m), alpha_moments_ci=ci_m,
         alpha_tail=float(alpha_t), alpha_tail_ci=ci_t,
         c_moment=c_m, c1=c1, c2=c2,
-        moment_orders=tuple(orders),
-        family_norms=tuple(_family_norms(groups, orders)),
+        moment_orders=MOMENT_ORDERS,
+        family_norms=tuple(_family_norms(groups)),
         tail_t=tuple(float(t) for t in t_grid[mask]),
         tail_p=tuple(float(p) for p in p_hat[mask]),
         flags=tuple(flags),
     )
 
 
-def _pct_ci(values, lo: float = 2.5, hi: float = 97.5) -> tuple[float, float]:
+def _pct_ci(values) -> tuple[float, float]:
+    """Central 95% percentile interval of the finite values."""
     arr = np.asarray([v for v in values if np.isfinite(v)], dtype=float)
     if arr.size == 0:
         return (np.nan, np.nan)
-    return (float(np.percentile(arr, lo)), float(np.percentile(arr, hi)))
+    return (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ class LaplaceReport:
 
 def laplace_check(samples: np.ndarray, bound_k: float,
                   window: float | None = None,
-                  t_max: float | None = None, grid_points: int = 41) -> LaplaceReport:
+                  t_max: float | None = None) -> LaplaceReport:
     """Compare the empirical log MGF of centred samples with K t^2.
 
     The verdict is based on the lower confidence edge: a point violates
@@ -196,7 +196,7 @@ def laplace_check(samples: np.ndarray, bound_k: float,
     n = x.size
     if t_max is None:
         t_max = 2.0 * window if window else 4.0 / max(float(np.std(x)), 1e-12)
-    tg = np.linspace(-t_max, t_max, grid_points)
+    tg = np.linspace(-t_max, t_max, 41)
     tg = tg[tg != 0]
     hi_x = float(np.max(np.abs(x)))
     # the standard error squares exp(t x), so the cutoff is half the
@@ -249,19 +249,17 @@ class LilReport:
     frac_peak_top: float
     unbounded_flag: bool
     median_ratio: tuple[float, ...]   # per-j median of the scaled ratio
-    top_window: int = 3
 
 
-def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float,
-                   top_window: int = 3) -> LilReport:
+def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> LilReport:
     """Scaled growth along dyadic times.
 
     values[r, j] is the displacement statistic of replicate r at time
     dyadic_n[j].  The per-replicate constant is max_j of
     values / (n log log n)^alpha.  Growth is flagged when the scaled
     ratio is still climbing at the end of the range: in more than half
-    of the replicates the largest ratio occurs among the last
-    `top_window` times.  When the exponent is right the ratio sequence
+    of the replicates the largest ratio occurs among the last three
+    times.  When the exponent is right the ratio sequence
     is roughly stationary and its peak falls anywhere, so the fraction
     stays far below one half; when the exponent is too small the ratio
     drifts upward and the peak concentrates at the top.
@@ -276,13 +274,12 @@ def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float,
     denom = (ns * np.log(np.log(ns))) ** alpha
     ratios = vals / denom[None, :]
     c_hat = ratios.max(axis=1)
-    peak_top = np.argmax(ratios, axis=1) >= ratios.shape[1] - top_window
+    peak_top = np.argmax(ratios, axis=1) >= ratios.shape[1] - 3
     frac = float(np.mean(peak_top))
     return LilReport(alpha=float(alpha), dyadic_n=tuple(int(v) for v in ns),
                      c_hat=c_hat, median_c=float(np.median(c_hat)),
                      frac_peak_top=frac, unbounded_flag=frac > 0.5,
-                     median_ratio=tuple(float(v) for v in np.median(ratios, axis=0)),
-                     top_window=top_window)
+                     median_ratio=tuple(float(v) for v in np.median(ratios, axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ any chunk size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class WalkConfig:
     seed: int
     scaling_exponent: float = 0.5
     cross_check: bool = False
-    conjugated: bool = False
-    centering_offset: float = 0.0
     max_work: int = DEFAULT_MAX_WORK
 
     def __post_init__(self):
@@ -83,7 +81,6 @@ class SampleMatrix:
     final_y: np.ndarray            # (R, d)
     scaling_exponent: float
     cross_residual: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def replications(self) -> int:
@@ -209,9 +206,6 @@ def _sample_matrix(cfg: WalkConfig, results: list[dict]) -> SampleMatrix:
         scaling_exponent=cfg.scaling_exponent,
         cross_residual=(max(res["cross"] for res in results)
                         if cfg.cross_check else None),
-        meta={"conjugated": cfg.conjugated,
-              "centering_offset": cfg.centering_offset,
-              "seed": cfg.seed},
     )
 
 

@@ -120,10 +120,3 @@ def test_chain_is_fold_of_products():
     for v in vs[1:]:
         acc = bch(alg, acc, v)
     assert np.allclose(bch_chain(alg, vs), acc, atol=1e-14)
-
-
-def test_order_cap_truncates():
-    """order=1 keeps only the linear terms."""
-    alg = heisenberg_algebra()
-    x, y = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-    assert np.allclose(bch(alg, x, y, order=1), x + y, atol=1e-15)

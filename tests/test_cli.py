@@ -3,7 +3,6 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +16,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
 def read_json(path):
+    """The JSON document at path; NaN or Infinity tokens fail the test."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def test_default_checkpoints_are_dyadic_plus_endpoint():
@@ -188,6 +192,12 @@ def test_algebra_check_preset_and_drift(tmp_path):
                 "--out", tmp_path / "b"]) == 2
 
 
+def test_algebra_check_accepts_seed(tmp_path):
+    assert run(["algebra-check", "--preset", "heisenberg", "--seed", 1,
+                "--out", tmp_path / "a"]) == 0
+    assert read_json(tmp_path / "a" / "manifest.json")["seed"] == 1
+
+
 def test_algebra_check_inline_payload(tmp_path):
     from nilwalk.algebra import algebra_to_json
     from nilwalk.presets import filiform_algebra
@@ -198,16 +208,15 @@ def test_algebra_check_inline_payload(tmp_path):
     assert read_json(out / "algebra-report.json")["dim"] == 4
 
 
-def test_algebra_check_rejects_non_jacobi_tensor(tmp_path):
-    # [e1,e2] = e3 and [e1,e3] = e1 cannot satisfy the Jacobi identity
-    # for a nilpotent bracket
-    t = np.zeros((3, 3, 3))
-    t[0, 1, 2], t[1, 0, 2] = 1.0, -1.0
-    t[0, 2, 0], t[2, 0, 0] = 1.0, -1.0
+def test_algebra_check_rejects_non_jacobi_tensor(tmp_path, capsys):
+    # [e1,e2] = e3 and [e1,e3] = e1 violate the Jacobi identity:
+    # [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]] = e3
     payload = tmp_path / "alg.json"
-    payload.write_text(json.dumps({"dim": 3, "step": 2, "tensor": t.tolist()}))
+    payload.write_text(json.dumps({"dim": 3, "step": 2, "brackets": [
+        [1, 2, [[3, 1.0]]], [1, 3, [[1, 1.0]]]]}))
     assert run(["algebra-check", "--algebra", payload,
                 "--out", tmp_path / "o"]) == 4
+    assert "jacobi residual" in capsys.readouterr().err
 
 
 def test_replay_reproduces_and_detects_tampering(tmp_path):
@@ -331,6 +340,27 @@ MALFORMED = [
     ("config-file-nan-eps", {"c.json": '{"schema_version": 1, "kind": "walk", '
                                        '"preset": "r1-flip-eps", "eps": NaN}'},
      ["walk", "--config", "c.json"], 2),
+    ("fit-lil-without-dyadic-n", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS.replace(
+        ",4,", ",3,").replace(",8,", ",6,")},
+     ["fit", "--csv", "w.csv", "--lil-alpha", "0.5"], 2),
+    ("walk-config-key-v", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "walk", "preset": "heisenberg-srw",
+         "n": 4, "reps": 2, "v": [1, 0, 0]})},
+     ["walk", "--config", "c.json"], 2),
+    ("fit-config-key-gauge", {"w.csv": WALK_CSV_COLUMNS + WALK_CSV_ROWS,
+                              "c.json": json.dumps({"schema_version": 1, "kind": "fit",
+                                                    "gauge": "bracket_hull"})},
+     ["fit", "--config", "c.json", "--csv", "w.csv"], 2),
+    ("split-scan-config-key-n", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "split-scan", "preset": "d4-r2",
+         "reps": 8, "n": 16})},
+     ["split-scan", "--config", "c.json"], 2),
+    ("algebra-check-unknown-algebra-key", {"a.json": json.dumps(
+        {"dim": 3, "step": 1, "bracket": [[1, 2, [[3, 1.0]]]]})},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("walk-unknown-algebra-key", {"c.json": json.dumps(inline_walk(
+        algebra={"dim": 3, "step": 1, "bracket": HEIS["brackets"]}))},
+     ["walk", "--config", "c.json"], 2),
 ]
 
 
@@ -349,6 +379,39 @@ def test_inline_walk_config_runs(tmp_path):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(INLINE_WALK))
     assert run(["walk", "--config", cfgp, "--out", tmp_path / "o"]) == 0
+
+
+@pytest.mark.parametrize("rows, flag", [
+    (WALK_CSV_ROWS, "tail-window-too-narrow"),
+    ("0,4,1,1,1,0,1\n1,4,1,1,1,0,1\n0,8,1,1,1,0,1\n1,8,1,1,1,0,1\n",
+     "degenerate-samples"),
+], ids=["four-rows", "constant"])
+def test_fit_writes_non_finite_values_as_null(tmp_path, rows, flag):
+    """Finite CSVs whose fit has no tail window or no moment slope still give valid JSON."""
+    csv_path = tmp_path / "w.csv"
+    csv_path.write_text(WALK_CSV_COLUMNS + rows)
+    out = tmp_path / "f"
+    assert run(["fit", "--csv", csv_path, "--bootstrap", 20, "--out", out]) == 0
+    report = read_json(out / "fit-report.json")
+    man = read_json(out / "manifest.json")
+    assert flag in report["flags"] and report["flags"] == man["derived"]["flags"]
+    assert report["alpha_tail"] is None and report["alpha_tail_ci"] == [None, None]
+    assert report["c1"] is None and report["c2"] is None
+    assert man["derived"]["alpha_tail"] is None
+
+
+def test_fit_without_bootstrap_writes_null_intervals(tmp_path):
+    wout = tmp_path / "w"
+    assert run(["walk", "--preset", "heisenberg-drift", "--n", 64,
+                "--reps", 200, "--out", wout]) == 0
+    fout = tmp_path / "f"
+    assert run(["fit", "--csv", wout / "walk.csv", "--bootstrap", 0,
+                "--out", fout]) == 0
+    report = read_json(fout / "fit-report.json")
+    assert report["alpha_moments_ci"] == [None, None]
+    assert report["alpha_tail_ci"] == [None, None]
+    assert report["alpha_moments"] > 0 and report["alpha_tail"] > 0
+    read_json(fout / "manifest.json")
 
 
 def _paths(node, prefix=()):
