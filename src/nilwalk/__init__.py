@@ -13,20 +13,17 @@ The package is organized around a handful of small, composable pieces:
 """
 
 from .algebra import (Filtration, NilpotentAlgebra, algebra_from_json,
-                      algebra_to_json, lower_central_filtration,
-                      lower_central_series, validate_algebra,
-                      weighted_filtration)
-from .bch import bch, bch_chain, degree_masses, dynkin_table
+                      lower_central_filtration, lower_central_series,
+                      validate_algebra, weighted_filtration)
+from .bch import bch, dynkin_table
 from .errors import (NumericalValidationError, ResourceCeilingError,
                      SchemaError)
 from .norms import HomogeneousNorm, build_gauge, gauge_descriptor
 from .semidirect import (FiniteActionGroup, StepDistribution, abelianized_mean,
                          conjugate_distribution, distribution_from_json,
-                         essential_average, finite_group)
-from .splitting import (IsometryElement, Lift, big_delta, delta,
-                        delta_ratio_scan, fix_decompose, fix_set,
-                        identity_isometry, lift_from_json)
-from .stats import fit_alpha, laplace_check, lil_diagnostic, tail_curve
+                         finite_group)
+from .splitting import Lift, big_delta, delta, delta_ratio_scan
+from .stats import fit_alpha, lil_diagnostic, tail_curve
 from .walker import SampleMatrix, WalkConfig, monte_carlo
 
 __version__ = "0.1.0"
@@ -35,7 +32,6 @@ __all__ = [
     "Filtration",
     "FiniteActionGroup",
     "HomogeneousNorm",
-    "IsometryElement",
     "Lift",
     "NilpotentAlgebra",
     "NumericalValidationError",
@@ -46,10 +42,7 @@ __all__ = [
     "WalkConfig",
     "abelianized_mean",
     "algebra_from_json",
-    "algebra_to_json",
     "bch",
-    "bch_chain",
-    "degree_masses",
     "dynkin_table",
     "big_delta",
     "build_gauge",
@@ -57,15 +50,9 @@ __all__ = [
     "delta",
     "delta_ratio_scan",
     "distribution_from_json",
-    "essential_average",
     "finite_group",
     "fit_alpha",
-    "fix_decompose",
-    "fix_set",
     "gauge_descriptor",
-    "identity_isometry",
-    "laplace_check",
-    "lift_from_json",
     "lil_diagnostic",
     "lower_central_filtration",
     "lower_central_series",

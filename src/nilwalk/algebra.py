@@ -55,17 +55,6 @@ def project_onto(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x @ basis.T) @ basis
 
 
-def containment_residual(inner: np.ndarray, outer: np.ndarray) -> float:
-    """max_i || v_i - proj_outer v_i || over rows v_i of inner.
-
-    Zero iff span(inner) is contained in span(outer).
-    """
-    if inner.shape[0] == 0:
-        return 0.0
-    resid = inner - project_onto(outer, inner)
-    return float(np.max(np.linalg.norm(resid, axis=1)))
-
-
 def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of inner inside outer."""
     if outer.shape[0] == 0:
@@ -253,11 +242,6 @@ def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
     return _filtration_from_ideals("weighted", v, ideals[1:])
 
 
-def layer_project(filt: Filtration, x: np.ndarray) -> list[np.ndarray]:
-    """Orthogonal components of x along each layer; they sum back to x."""
-    return [project_onto(b, x) for b in filt.layers]
-
-
 def layer_components(filt: Filtration, x: np.ndarray) -> list[np.ndarray]:
     """Coordinates of x in each layer's orthonormal row basis (shape (..., dim_i))."""
     out = []
@@ -272,32 +256,40 @@ def layer_components(filt: Filtration, x: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def algebra_to_json(alg: NilpotentAlgebra) -> dict:
-    """Sparse 1-based bracket table, upper triangle (i < j) only."""
-    brackets = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            coeffs = [[k + 1, float(alg.tensor[i, j, k])]
-                      for k in range(alg.dim) if alg.tensor[i, j, k] != 0.0]
-            if coeffs:
-                brackets.append([i + 1, j + 1, coeffs])
-    return {"dim": alg.dim, "step": alg.step, "brackets": brackets,
-            "labels": list(alg.labels)}
+def _count(data: dict, key: str) -> int:
+    """data[key] as a JSON integer >= 1; floats, strings and booleans are refused."""
+    val = data[key]
+    if type(val) is not int or val < 1:
+        raise ValueError(f"{key} must be an integer >= 1, got {val!r}")
+    return val
 
 
 def algebra_from_json(data: dict) -> NilpotentAlgebra:
+    """Algebra from a sparse 1-based bracket table [[i, j, [[k, c], ...]], ...].
+
+    Raises ValueError on unknown keys, a dim or step that is not an
+    integer >= 1, an index outside 1..dim, a pair (i, j) given twice in
+    either order, or labels that are not a list of dim strings.
+    """
     unknown = set(data) - {"dim", "step", "brackets", "labels"}
     if unknown:
         raise ValueError(f"unknown algebra keys {sorted(unknown)}")
-    dim = int(data["dim"])
-    step = int(data["step"])
+    dim, step = _count(data, "dim"), _count(data, "step")
+    labels = data.get("labels", [])
+    if "labels" in data and not (isinstance(labels, list) and len(labels) == dim
+                                 and all(isinstance(s, str) for s in labels)):
+        raise ValueError(f"labels must be a list of {dim} strings")
     tensor = np.zeros((dim, dim, dim))
+    pairs = set()
     for entry in data.get("brackets", []):
         i, j, coeffs = entry
+        if not all(type(x) is int and 1 <= x <= dim for x in [i, j] + [k for k, _ in coeffs]):
+            raise ValueError(f"bracket index outside 1..{dim} in {entry}")
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            raise ValueError(f"bracket of e{i} and e{j} given twice")
+        pairs.add(pair)
         for k, c in coeffs:
-            if not all(isinstance(x, int) and 1 <= x <= dim for x in (i, j, k)):
-                raise ValueError(f"bracket index outside 1..{dim} in {entry}")
             tensor[i - 1, j - 1, k - 1] = float(c)
             tensor[j - 1, i - 1, k - 1] = -float(c)
-    labels = tuple(data.get("labels") or ())
-    return NilpotentAlgebra(dim=dim, step=step, tensor=tensor, labels=labels)
+    return NilpotentAlgebra(dim=dim, step=step, tensor=tensor, labels=tuple(labels))

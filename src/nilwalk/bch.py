@@ -72,7 +72,6 @@ def _canonical(word: tuple[int, ...], coeff: Fraction):
 class DynkinTable:
     """Merged bracket words with float coefficients, grouped by degree."""
 
-    max_degree: int
     terms: tuple[tuple[tuple[tuple[int, ...], float], ...], ...]  # [degree-1][...]
     abs_mass: tuple[float, ...]   # sum of |coefficients| per degree
     word_count: tuple[int, ...]   # surviving words per degree
@@ -99,7 +98,7 @@ def dynkin_table(max_degree: int) -> DynkinTable:
         masses.append(float(sum(abs(c) for _, c in
                                 ((w, merged[w]) for w, _ in kept))))
         counts.append(len(kept))
-    return DynkinTable(max_degree=max_degree, terms=tuple(per_degree),
+    return DynkinTable(terms=tuple(per_degree),
                        abs_mass=tuple(masses), word_count=tuple(counts))
 
 
@@ -126,17 +125,3 @@ def bch(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             out = out + coeff * _eval_word(alg, word, x, y)
     return out
 
-
-def bch_chain(alg: NilpotentAlgebra, vectors) -> np.ndarray:
-    """Left-to-right product v1 * v2 * ... * vk."""
-    it = iter(vectors)
-    acc = np.asarray(next(it), dtype=float)
-    for v in it:
-        acc = bch(alg, acc, v)
-    return acc
-
-
-def degree_masses(max_degree: int) -> list[tuple[float, int]]:
-    """(sum |coeff|, word count) per degree 1..max_degree, post merge."""
-    t = dynkin_table(max_degree)
-    return list(zip(t.abs_mass, t.word_count))

@@ -98,10 +98,3 @@ def sign_flip_line() -> np.ndarray:
 def trivial(dim: int) -> np.ndarray:
     return np.eye(dim)[None]
 
-
-def heisenberg_flip() -> np.ndarray:
-    """Z/2 on the 3-dim Heisenberg algebra negating both generators.
-
-    diag(-1, -1, 1) preserves [e1, e2] = e3, so it acts by automorphisms.
-    """
-    return np.stack([np.eye(3), np.diag([-1.0, -1.0, 1.0])])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Filtration, NilpotentAlgebra, layer_components
-from .bch import TABLE_CAP, bch, degree_masses
+from .bch import TABLE_CAP, bch, dynkin_table
 from .rng import STREAM_GAUGE, substream
 
 DEFAULT_CALIBRATION_PAIRS = 100_000
@@ -65,8 +65,8 @@ def coefficient_mass_bound(degree: int) -> float:
     """
     if degree > TABLE_CAP:
         return 1.0
-    mass, count = degree_masses(degree)[degree - 1]
-    return max(1.0, mass * count)
+    table = dynkin_table(degree)
+    return max(1.0, table.abs_mass[-1] * table.word_count[-1])
 
 
 def default_kappas(depth: int) -> tuple[float, ...]:

@@ -6,9 +6,12 @@ automorphisms.  Products twist the nilpotent part:
 
     (xi1, k1) (xi2, k2) = (xi1 * Ad(k1) xi2,  k1 k2)
 
-with * the BCH product.  A step distribution is a finite atomic measure on
-such pairs; its derived data (drift split, spectral constant, centering
-element) are computed eagerly at construction and drive the walk module.
+with * the BCH product; the walk module multiplies.  This module holds
+the twist group Q, checked by q_validate, and the step distribution: a
+finite atomic measure on such pairs, read from JSON by
+distribution_from_json.  Its derived data (drift split, spectral
+constant, centering element) are computed eagerly at construction, and
+conjugate_distribution moves the law by the centering element.
 """
 
 from __future__ import annotations
@@ -87,31 +90,6 @@ def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> QValidation:
     return QValidation(ok=not msgs, orthogonality_residual=ortho,
                        automorphism_residual=auto, closure_ok=closure_ok,
                        messages=tuple(msgs))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    xi: np.ndarray
-    kappa: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-
-
-def identity_element(alg: NilpotentAlgebra, q: FiniteActionGroup) -> GroupElement:
-    return GroupElement(xi=np.zeros(alg.dim), kappa=q.identity)
-
-
-def multiply(alg: NilpotentAlgebra, q: FiniteActionGroup,
-             g1: GroupElement, g2: GroupElement) -> GroupElement:
-    xi = bch(alg, g1.xi, q.ad(g1.kappa) @ g2.xi)
-    return GroupElement(xi=xi, kappa=int(q.table[g1.kappa, g2.kappa]))
-
-
-def inverse(alg: NilpotentAlgebra, q: FiniteActionGroup,
-            g: GroupElement) -> GroupElement:
-    kinv = int(q.inverse[g.kappa])
-    return GroupElement(xi=q.ad(kinv) @ (-g.xi), kappa=kinv)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +180,6 @@ class StepDistribution:
             y = np.linalg.solve(gap, w_b @ w_mu) @ w_b
             object.__setattr__(self, "centering", y)
 
-    @property
-    def is_centred(self) -> bool:
-        return bool(np.linalg.norm(self.v_mu) <= 1e-12)
-
 
 def _abelianized_layer(alg: NilpotentAlgebra) -> np.ndarray:
     return lower_central_filtration(alg).layers[0]
@@ -238,15 +212,6 @@ def invariant_split(alg: NilpotentAlgebra, q: FiniteActionGroup,
     return v_basis, w_basis
 
 
-def essential_average(dist: StepDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """(invariant drift v_mu, centering element y).
-
-    Conjugating the law by y leaves only the invariant drift: the
-    abelianized mean of c_y mu is v_mu, and |y| <= radius / kappa_mu.
-    """
-    return dist.v_mu, dist.centering
-
-
 def conjugate_distribution(dist: StepDistribution,
                            y: np.ndarray | None = None) -> StepDistribution:
     """Law of (−y, id) (xi, k) (y, id): atoms become (−y) * xi * Ad(k) y."""
@@ -267,21 +232,27 @@ def abelianized_mean(dist: StepDistribution) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def distribution_to_json(dist: StepDistribution) -> dict:
-    return {
-        "atoms": [
-            {"p": float(p), "xi": [float(c) for c in xi], "kappa": int(k)}
-            for p, xi, k in zip(dist.probs, dist.xis, dist.kappas)
-        ],
-        "Q": {"matrices": [[[float(c) for c in row] for row in m]
-                           for m in dist.q.matrices]},
-    }
-
-
 def distribution_from_json(alg: NilpotentAlgebra, data: dict) -> StepDistribution:
-    q = finite_group(np.asarray(data["Q"]["matrices"], dtype=float))
+    """Step law from {"atoms": [{"p", "xi", "kappa"}, ...], "Q": {"matrices"}}.
+
+    Raises ValueError on unknown keys, twist matrices that are not
+    dim x dim, an xi without dim entries, or a kappa that is not an integer.
+    """
     atoms = data["atoms"]
+    for obj, keys in [(data, {"atoms", "Q"}), (data["Q"], {"matrices"})] + \
+            [(a, {"p", "xi", "kappa"}) for a in atoms]:
+        unknown = set(obj) - keys
+        if unknown:
+            raise ValueError(f"unknown distribution keys {sorted(unknown)}")
+    mats = np.asarray(data["Q"]["matrices"], dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (alg.dim, alg.dim):
+        raise ValueError(f"twist matrices must be {alg.dim} x {alg.dim}")
+    if any(len(a["xi"]) != alg.dim for a in atoms):
+        raise ValueError(f"each xi must have {alg.dim} entries")
+    if any(type(a["kappa"]) is not int for a in atoms):
+        raise ValueError("each kappa must be an integer")
     probs = np.array([a["p"] for a in atoms], dtype=float)
     xis = np.array([a["xi"] for a in atoms], dtype=float)
     kappas = np.array([a["kappa"] for a in atoms], dtype=np.int64)
-    return StepDistribution(alg=alg, q=q, probs=probs, xis=xis, kappas=kappas)
+    return StepDistribution(alg=alg, q=finite_group(mats), probs=probs, xis=xis,
+                            kappas=kappas)

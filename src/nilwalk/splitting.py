@@ -14,9 +14,11 @@ delta vanishes exactly on lifts with a common fixed point; big_delta
 vanishes exactly on sections.  Both are fixed linear algebra in the
 stacked translations u = (u_f), built once per group by _lift_maps:
 delta(u) = |R u|^2 is a least-squares residual and big_delta(u) =
-max_k |D_k u|^2 over the relators k.  delta_ratio_scan estimates, by
-sampling lifts, an empirical upper estimate of the infimum of
-big_delta / delta over all lifts whose elements each fix something.
+max_k |D_k u|^2 over the relators k, so no fixed-point set is ever
+built.  delta and big_delta score one Lift; delta_ratio_scan estimates,
+by sampling lifts, an empirical upper estimate of the infimum of
+big_delta / delta over all lifts whose elements each fix something, and
+Lift.to_json writes the minimizing lift.
 """
 
 from __future__ import annotations
@@ -27,110 +29,12 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .rng import STREAM_SCAN, substream
-from .semidirect import FiniteActionGroup, finite_group
+from .semidirect import FiniteActionGroup
 
 ORTHO_TOL = 1e-10
 FIX_TOL = 1e-9
 SCAN_CHUNK = 512
 SECTION_DELTA_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class IsometryElement:
-    """Affine isometry x -> rotation @ x + translation."""
-
-    translation: np.ndarray
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(np.asarray(self.translation, dtype=float))
-        a = np.ascontiguousarray(np.asarray(self.rotation, dtype=float))
-        if a.shape != (u.size, u.size):
-            raise ValueError("rotation shape does not match translation")
-        if np.max(np.abs(a @ a.T - np.eye(u.size))) > ORTHO_TOL:
-            raise ValueError("rotation part is not orthogonal")
-        object.__setattr__(self, "translation", u)
-        object.__setattr__(self, "rotation", a)
-
-    @property
-    def dim(self) -> int:
-        return self.translation.size
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.rotation.T + self.translation
-
-    def compose(self, other: "IsometryElement") -> "IsometryElement":
-        return IsometryElement(self.rotation @ other.translation + self.translation,
-                               self.rotation @ other.rotation)
-
-    def inverse(self) -> "IsometryElement":
-        return IsometryElement(-self.rotation.T @ self.translation, self.rotation.T)
-
-    def power(self, m: int) -> "IsometryElement":
-        out = identity_isometry(self.dim)
-        for _ in range(m):
-            out = out.compose(self)
-        return out
-
-
-def identity_isometry(dim: int) -> IsometryElement:
-    return IsometryElement(np.zeros(dim), np.eye(dim))
-
-
-@dataclass(frozen=True)
-class FixedSet:
-    """Affine subspace {point + span(directions)}; empty when point is None."""
-
-    point: np.ndarray | None
-    directions: np.ndarray   # (k, d) orthonormal rows, possibly k = 0
-
-    @property
-    def empty(self) -> bool:
-        return self.point is None
-
-    def distance(self, x: np.ndarray) -> float:
-        if self.point is None:
-            raise ValueError("empty fixed-point set has no distances")
-        r = np.asarray(x, dtype=float) - self.point
-        return float(np.linalg.norm(r - (r @ self.directions.T) @ self.directions))
-
-
-def fix_set(g: IsometryElement) -> FixedSet:
-    """Fixed points of g as an affine set, solving (A - I)x = -u.
-
-    The system is solved in least squares; inconsistency (residual above
-    tolerance relative to the translation size) means no fixed points.
-    Direction space is the kernel of A - I.
-    """
-    d = g.dim
-    m = g.rotation - np.eye(d)
-    x, _, _, sv = np.linalg.lstsq(m, -g.translation, rcond=None)
-    scale = max(float(np.linalg.norm(g.translation)), 1.0)
-    if np.linalg.norm(m @ x + g.translation) > FIX_TOL * scale:
-        return FixedSet(point=None, directions=np.zeros((0, d)))
-    # kernel of A - I from the SVD of m
-    _, s_svd, vt = np.linalg.svd(m)
-    tol = max(s_svd[0], 1.0) * 1e-12
-    return FixedSet(point=x, directions=vt[s_svd <= tol].reshape(-1, d))
-
-
-def fix_decompose(g: IsometryElement, order: int) -> tuple[np.ndarray, IsometryElement]:
-    """Split g = tau . g_prime with tau a translation and g_prime fixing a point.
-
-    tau is the translation part of g^order divided by order; the rotation
-    part of g must have order dividing `order`.
-    """
-    gm = g.power(order)
-    if np.max(np.abs(gm.rotation - np.eye(g.dim))) > FIX_TOL:
-        raise ValueError("rotation order does not divide the group order")
-    tau = gm.translation / order
-    g_prime = IsometryElement(g.translation - tau, g.rotation)
-    if fix_set(g_prime).empty:
-        raise ValueError("decomposition failed: residual part has no fixed point")
-    comm = g.rotation @ tau - tau
-    if np.linalg.norm(comm) > FIX_TOL:
-        raise ValueError("translation part does not commute with the residual")
-    return tau, g_prime
 
 
 @dataclass(frozen=True)
@@ -145,13 +49,6 @@ class Lift:
         if t.shape != (self.group.order, self.group.matrices.shape[1]):
             raise ValueError("translations must be one row per group element")
         object.__setattr__(self, "translations", t)
-
-    def element(self, f: int) -> IsometryElement:
-        return IsometryElement(self.translations[f], self.group.matrices[f])
-
-    @property
-    def in_sigma(self) -> bool:
-        return not any(fix_set(self.element(f)).empty for f in range(self.group.order))
 
     def conjugate_by_translation(self, z: np.ndarray) -> "Lift":
         """Conjugating by x -> x + z shifts each translation by (I - A)z."""
@@ -168,11 +65,6 @@ class Lift:
             "table": self.group.table.tolist(),
             "translations": self.translations.tolist(),
         }
-
-
-def lift_from_json(doc: dict) -> Lift:
-    mats = np.asarray(doc["representation"], dtype=float)
-    return Lift(finite_group(mats), np.asarray(doc["translations"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -202,7 +94,7 @@ def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
     proj, rows, rhs = [], [], []
     for m in mats - np.eye(d):
         col, s, row = np.linalg.svd(m)
-        r = int(np.sum(s > np.max(s, initial=1.0) * 1e-12))   # fix_set's rank cut
+        r = int(np.sum(s > np.max(s, initial=1.0) * 1e-12))
         col, s, row = col[:, :r], s[:r], row[:r]
         proj.append(col @ col.T)
         rows.append(row.T @ row)
@@ -225,8 +117,9 @@ def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
 def delta(lift: Lift) -> tuple[float, np.ndarray]:
     """Least sum of squared distances to all fixed-point sets, with a minimizer.
 
-    Raises ValueError unless each u_f lies in range(A_f - I) up to
-    FIX_TOL * max(|u_f|, 1), the test fix_set applies.
+    Raises ValueError unless every element has a fixed point: each u_f
+    must lie in range(A_f - I), its distance from that range at most
+    FIX_TOL * max(|u_f|, 1).
     """
     maps = _lift_maps(lift.group)
     t = lift.translations

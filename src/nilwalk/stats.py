@@ -7,8 +7,6 @@ The estimators quantify how a family of samples concentrates:
                       P(|f| >= t) <= c2 exp(-c1 t^alpha): one from the
                       growth of L^p norms (||f||_p ~ p^(1/alpha)), one from
                       the slope of log(-log p) against log t
-  * laplace_check     empirical moment generating function against a
-                      quadratic bound exp(K t^2)
   * lil_diagnostic    per-replicate sup of |y_n| / (n log log n)^alpha
                       along dyadic times, with an unbounded-growth flag
 
@@ -163,78 +161,6 @@ def _pct_ci(values) -> tuple[float, float]:
     if arr.size == 0:
         return (np.nan, np.nan)
     return (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
-
-
-# ---------------------------------------------------------------------------
-# moment generating function check
-
-@dataclass(frozen=True)
-class LaplaceReport:
-    t_grid: tuple[float, ...]
-    log_mgf: tuple[float, ...]
-    bound: tuple[float, ...]
-    margin_upper: tuple[float, ...]   # upper CI of log MGF minus bound
-    margin_lower: tuple[float, ...]   # lower CI of log MGF minus bound
-    verdict: str                      # subgaussian | subexponential | exceeds
-    window: float | None              # |t| < window claimed, if any
-    first_violation_t: float | None
-    truncated_at: float | None        # grid cut where exp overflowed
-    max_margin: float
-
-
-def laplace_check(samples: np.ndarray, bound_k: float,
-                  window: float | None = None,
-                  t_max: float | None = None) -> LaplaceReport:
-    """Compare the empirical log MGF of centred samples with K t^2.
-
-    The verdict is based on the lower confidence edge: a point violates
-    only when even the optimistic estimate sits above the bound.  When the
-    exponential overflows at large |t| the grid is truncated and reported.
-    """
-    x = np.asarray(samples, dtype=float)
-    x = x - x.mean()
-    n = x.size
-    if t_max is None:
-        t_max = 2.0 * window if window else 4.0 / max(float(np.std(x)), 1e-12)
-    tg = np.linspace(-t_max, t_max, 41)
-    tg = tg[tg != 0]
-    hi_x = float(np.max(np.abs(x)))
-    # the standard error squares exp(t x), so the cutoff is half the
-    # exponent at which float64 overflows
-    keep = np.abs(tg) * hi_x < 350.0
-    truncated = None if keep.all() else float(np.min(np.abs(tg[~keep])))
-    tg = tg[keep]
-    log_mgf, m_up, m_lo, bound = [], [], [], []
-    for t in tg:
-        e = np.exp(t * x)
-        m = float(e.mean())
-        se = float(e.std(ddof=1)) / np.sqrt(n)
-        b = bound_k * t * t
-        log_mgf.append(np.log(m))
-        m_up.append(np.log(m + 1.96 * se) - b)
-        m_lo.append(np.log(max(m - 1.96 * se, 1e-300)) - b)
-        bound.append(b)
-    log_mgf = np.array(log_mgf)
-    m_up = np.array(m_up)
-    m_lo = np.array(m_lo)
-    viol = np.array(m_lo) > 0
-    first_viol = float(np.min(np.abs(tg[viol]))) if viol.any() else None
-    if not viol.any():
-        verdict = "subgaussian"
-    elif window is not None and first_viol is not None and first_viol >= window:
-        verdict = "subexponential"
-    else:
-        verdict = "exceeds"
-    return LaplaceReport(
-        t_grid=tuple(float(t) for t in tg),
-        log_mgf=tuple(float(v) for v in log_mgf),
-        bound=tuple(float(b) for b in bound),
-        margin_upper=tuple(float(v) for v in m_up),
-        margin_lower=tuple(float(v) for v in m_lo),
-        verdict=verdict, window=window,
-        first_violation_t=first_viol, truncated_at=truncated,
-        max_margin=float(np.max(m_lo)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ exponential of ad_{m v}, a polynomial in m because ad_v is nilpotent, so
 each step costs a single BCH product.  A cross-check mode also tracks z_n
 and verifies the direct recentring at every checkpoint.
 
-Replicates advance in lockstep as numpy batches, one fixed-size chunk of
-replicates at a time.  Each replicate draws from its own counter-based
-substream keyed by (seed, replicate), so results are bit-identical for
-any chunk size.
+monte_carlo is the one entry point.  Replicates advance in lockstep as
+numpy batches, one fixed-size chunk of replicates at a time.  Each
+replicate draws from its own counter-based substream keyed by (seed,
+replicate), so results are bit-identical for any chunk size, and one
+replicate's atom choices can be redrawn from that substream alone.
 """
 
 from __future__ import annotations
@@ -109,14 +110,6 @@ def _ad_power_series(dist: StepDistribution) -> list[np.ndarray]:
     return mats
 
 
-def atom_indices(dist: StepDistribution, seed: int, replicate: int,
-                 n_steps: int) -> np.ndarray:
-    """The atom choices a replicate will make; mirrors the engine's draws."""
-    sampler = AliasSampler(dist.probs)
-    u = substream(seed, STREAM_WALK, replicate).random((n_steps, 2))
-    return sampler.sample(u)
-
-
 def _run_chunk(cfg: WalkConfig, rep_ids: np.ndarray) -> dict:
     dist = cfg.dist
     alg = dist.alg
@@ -194,8 +187,10 @@ def _run_chunk(cfg: WalkConfig, rep_ids: np.ndarray) -> dict:
             "cross": cross_resid if cfg.cross_check else None}
 
 
-def _sample_matrix(cfg: WalkConfig, results: list[dict]) -> SampleMatrix:
-    """Stack per-chunk results, in chunk order, into one SampleMatrix."""
+def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
+    """Run all replicates, REPLICATE_CHUNK at a time; byte-stable for any chunk size."""
+    results = [_run_chunk(cfg, np.arange(lo, min(lo + REPLICATE_CHUNK, cfg.replications)))
+               for lo in range(0, cfg.replications, REPLICATE_CHUNK)]
     return SampleMatrix(
         checkpoints=cfg.checkpoints,
         running_max=np.concatenate([res["max"] for res in results]),
@@ -207,35 +202,3 @@ def _sample_matrix(cfg: WalkConfig, results: list[dict]) -> SampleMatrix:
         cross_residual=(max(res["cross"] for res in results)
                         if cfg.cross_check else None),
     )
-
-
-def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
-    """Run all replicates, REPLICATE_CHUNK at a time; byte-stable for any chunk size."""
-    return _sample_matrix(cfg, [
-        _run_chunk(cfg, np.arange(lo, min(lo + REPLICATE_CHUNK, cfg.replications)))
-        for lo in range(0, cfg.replications, REPLICATE_CHUNK)])
-
-
-def simulate_walk(cfg: WalkConfig, replicate: int = 0) -> SampleMatrix:
-    """One trajectory (the given replicate), same stream as monte_carlo."""
-    return _sample_matrix(cfg, [_run_chunk(cfg, np.array([replicate]))])
-
-
-def doubling_compose(dist: StepDistribution, y1: np.ndarray, q1: np.ndarray,
-                     y2: np.ndarray, q2: np.ndarray, n: int):
-    """Combine two independent n-step runs into a 2n-step state.
-
-    (y_{2n}, q_{2n}) = (y_n * n v * Ad(q_n) y'_n * (-n v), q_n q'_n); the
-    distributional identity behind time-doubling arguments.
-    """
-    alg = dist.alg
-    nv = float(n) * dist.v_mu
-    y1 = np.atleast_2d(y1)
-    y2 = np.atleast_2d(y2)
-    q1 = np.atleast_1d(q1)
-    q2 = np.atleast_1d(q2)
-    rot = np.einsum("rij,rj->ri", dist.q.matrices[q1], y2)
-    inner = bch(alg, bch(alg, nv, rot), -nv)
-    y = bch(alg, y1, inner)
-    q = dist.q.table[q1, q2]
-    return y, q

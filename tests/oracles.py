@@ -8,6 +8,7 @@ and moment constants come from closed-form Gamma expressions.
 
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +135,17 @@ def closure_weighted_ideals(tensor, v, max_iter=64):
     return chain
 
 
+def containment_residual(inner, outer):
+    """max_i || v_i - proj_outer v_i || over rows v_i of inner.
+
+    Zero iff span(inner) is contained in span(outer).
+    """
+    if inner.shape[0] == 0:
+        return 0.0
+    resid = inner - (inner @ outer.T) @ outer
+    return float(np.max(np.linalg.norm(resid, axis=1)))
+
+
 def subspace_contained(inner, outer, tol=1e-10):
     if inner.shape[0] == 0:
         return True
@@ -181,6 +193,28 @@ def exponential_p_norm(p):
 
 # ---------------------------------------------------------------------------
 # isometry-lift functionals
+
+
+class FixedSet(NamedTuple):
+    """Affine subspace {point + span(directions)}; point is None when empty."""
+
+    point: np.ndarray | None
+    directions: np.ndarray   # (k, d) orthonormal rows, possibly k = 0
+
+
+def fix_set(rotation, translation):
+    """Fixed points of x -> rotation @ x + translation, solving (A - I)x = -u.
+
+    Solved in least squares: a residual above 1e-9 max(|u|, 1) means no
+    fixed point.  The directions span the kernel of A - I.
+    """
+    d = translation.size
+    m = rotation - np.eye(d)
+    x = np.linalg.lstsq(m, -translation, rcond=None)[0]
+    if np.linalg.norm(m @ x + translation) > 1e-9 * max(float(np.linalg.norm(translation)), 1.0):
+        return FixedSet(None, np.zeros((0, d)))
+    _, s, vt = np.linalg.svd(m)
+    return FixedSet(x, vt[s <= max(s[0], 1.0) * 1e-12])
 
 
 def dispersion_oracle(fixed_sets):

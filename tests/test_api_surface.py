@@ -1,0 +1,72 @@
+"""The library is what the package itself uses.
+
+Every module-level function or class under src/nilwalk, and every public
+method, must be referenced from src/nilwalk outside its own definition,
+by code that is itself in use.  KEEP lists the names whose only callers
+live outside the package: the acceptance criteria and the benchmark shim.
+"""
+
+import ast
+from pathlib import Path
+from typing import NamedTuple
+
+import nilwalk
+
+SRC = Path(nilwalk.__file__).parent
+KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
+
+
+class Definition(NamedTuple):
+    module: str
+    qualname: str
+    first: int
+    last: int
+
+    def holds(self, module, line):
+        return module == self.module and self.first <= line <= self.last
+
+
+def _definitions(module, tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield Definition(module, node.name, node.lineno, node.end_lineno)
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield Definition(module, f"{node.name}.{sub.name}",
+                                     sub.lineno, sub.end_lineno)
+
+
+def unused_names():
+    """Qualified names of definitions that no code in use refers to."""
+    defs, uses = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = list(_definitions(path.stem, tree))
+        defs += found
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                # a use belongs to the innermost definition around it, if any
+                owner = min((d for d in found if d.holds(path.stem, node.lineno)),
+                            key=lambda d: d.last - d.first, default=None)
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path.stem, node.lineno, owner))
+    live = {d for d in defs if d.qualname.split(".")[-1] in KEEP}
+    grown = True
+    while grown:
+        grown = False
+        for d in set(defs) - live:
+            if any(not d.holds(module, line) and (owner is None or owner in live)
+                   for module, line, owner in uses.get(d.qualname.split(".")[-1], ())):
+                live.add(d)
+                grown = True
+    return sorted(f"{d.module}.{d.qualname}" for d in set(defs) - live)
+
+
+def test_every_definition_is_used_inside_the_package():
+    unused = unused_names()
+    assert not unused, f"no code in src/nilwalk uses {unused}"
+
+
+def test_every_exported_name_imports():
+    missing = [name for name in nilwalk.__all__ if not hasattr(nilwalk, name)]
+    assert not missing, f"nilwalk.__all__ names {missing}, which do not import"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilwalk.bch import TABLE_CAP, bch, bch_chain, degree_masses, dynkin_table
+from nilwalk.bch import TABLE_CAP, bch, dynkin_table
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
@@ -10,7 +10,8 @@ from oracles import filiform_rep, heisenberg_rep, rep_bch
 
 
 def test_table_masses_are_the_known_ones():
-    masses = degree_masses(6)
+    table = dynkin_table(6)
+    masses = list(zip(table.abs_mass, table.word_count))
     assert masses[0] == (2.0, 2)        # x and y
     assert masses[1] == (0.5, 1)        # [x,y]/2
     assert masses[2] == (pytest.approx(1 / 6), 2)
@@ -111,12 +112,3 @@ def test_identity_element():
     assert np.allclose(bch(alg, x, zero), x, atol=1e-15)
     assert np.allclose(bch(alg, zero, x), x, atol=1e-15)
 
-
-def test_chain_is_fold_of_products():
-    alg = filiform_algebra(4)
-    rng = np.random.default_rng(9)
-    vs = rng.normal(size=(5, 4))
-    acc = vs[0]
-    for v in vs[1:]:
-        acc = bch(alg, acc, v)
-    assert np.allclose(bch_chain(alg, vs), acc, atol=1e-14)

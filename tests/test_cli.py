@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from nilwalk.cli import default_checkpoints, main, validate_config
 from nilwalk.errors import SchemaError
 from nilwalk.manifest import read_csv_columns, sha256_file
-from nilwalk.splitting import delta, lift_from_json
+from nilwalk.semidirect import finite_group
+from nilwalk.splitting import Lift, delta
+
+from test_algebra import ENGEL5_JSON
 
 
 def run(args):
@@ -159,6 +162,10 @@ def test_fit_wrong_columns_is_schema_error(tmp_path):
                 "--out", tmp_path / "g"]) == 2
 
 
+def lift_from_doc(doc):
+    return Lift(finite_group(doc["representation"]), doc["translations"])
+
+
 def test_split_scan_artifacts(tmp_path):
     out = tmp_path / "s"
     assert run(["split-scan", "--preset", "d4-r2", "--reps", 128,
@@ -167,7 +174,7 @@ def test_split_scan_artifacts(tmp_path):
     assert man["derived"]["c_hat"] > 0
     assert man["derived"]["group_order"] == 8
     assert set(man["files"]) == {"scan.csv", "best-lift.json", "scan-hist.svg"}
-    best = lift_from_json(read_json(out / "best-lift.json"))
+    best = lift_from_doc(read_json(out / "best-lift.json"))
     val, _ = delta(best)
     assert val == pytest.approx(1.0, rel=1e-9)
     head = (out / "scan.csv").read_text().splitlines()
@@ -199,13 +206,11 @@ def test_algebra_check_accepts_seed(tmp_path):
 
 
 def test_algebra_check_inline_payload(tmp_path):
-    from nilwalk.algebra import algebra_to_json
-    from nilwalk.presets import filiform_algebra
     payload = tmp_path / "alg.json"
-    payload.write_text(json.dumps(algebra_to_json(filiform_algebra(4))))
+    payload.write_text(json.dumps(ENGEL5_JSON))
     out = tmp_path / "a"
     assert run(["algebra-check", "--algebra", payload, "--out", out]) == 0
-    assert read_json(out / "algebra-report.json")["dim"] == 4
+    assert read_json(out / "algebra-report.json")["dim"] == 5
 
 
 def test_algebra_check_rejects_non_jacobi_tensor(tmp_path, capsys):
@@ -360,6 +365,41 @@ MALFORMED = [
      ["algebra-check", "--algebra", "a.json"], 2),
     ("walk-unknown-algebra-key", {"c.json": json.dumps(inline_walk(
         algebra={"dim": 3, "step": 1, "bracket": HEIS["brackets"]}))},
+     ["walk", "--config", "c.json"], 2),
+    ("algebra-labels-too-short", {"a.json": json.dumps(dict(HEIS, labels=["x"]))},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-labels-string", {"a.json": json.dumps(dict(HEIS, labels="xyz"))},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-dim-zero", {"a.json": json.dumps({"dim": 0, "step": 1, "brackets": []})},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-dim-float", {"a.json": json.dumps(dict(HEIS, dim=3.7))},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-dim-string", {"a.json": json.dumps(dict(HEIS, dim="3"))},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-step-bool", {"a.json": json.dumps({"dim": 2, "step": True, "brackets": []})},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-pair-given-twice", {"a.json": json.dumps(dict(HEIS, brackets=[
+        [1, 2, [[3, 1.0]]], [2, 1, [[3, 1.0]]]]))},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("walk-twist-matrices-not-dim", {"c.json": json.dumps(inline_walk(distribution={
+        "atoms": [dict(atom, kappa=0) for atom in INLINE_WALK["distribution"]["atoms"]],
+        "Q": {"matrices": [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]}}))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-xi-wrong-length", {"c.json": json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], atoms=[{"p": 0.5, "xi": [1, 0], "kappa": 0},
+                                            {"p": 0.5, "xi": [0, 1], "kappa": 1}])))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-kappa-not-integer", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(kappa=0.7)))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-unknown-atom-key", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(kapa=1)))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-unknown-twist-key", {"c.json": json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], Q=dict(C2, order=2))))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-unknown-distribution-key", {"c.json": json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], seed=1)))},
      ["walk", "--config", "c.json"], 2),
 ]
 

@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from nilwalk.stats import (fit_alpha, laplace_check, lil_diagnostic,
-                           render_histogram_svg, render_tail_svg, tail_curve)
+from nilwalk.stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
+                           render_tail_svg, tail_curve)
 
 from oracles import exponential_p_norm, gaussian_p_norm
 
@@ -83,46 +83,6 @@ def test_tail_curve_exponential_coverage():
     for ti, pi, l, u in zip(t[1:3], p[1:3], lo[1:3], hi[1:3]):
         assert l <= pi <= u
         assert l <= np.exp(-ti) <= u
-
-
-def test_laplace_rademacher_subgaussian():
-    rng = np.random.default_rng(7)
-    x = rng.choice([-1.0, 1.0], size=100_000)
-    rep = laplace_check(x, bound_k=0.5)
-    assert rep.verdict == "subgaussian"
-    assert rep.max_margin <= 0
-
-
-def test_laplace_gaussian_exceeds_small_constant():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=200_000)
-    rep = laplace_check(x, bound_k=0.3)
-    assert rep.verdict == "exceeds"
-    assert rep.first_violation_t is not None
-    good = laplace_check(x, bound_k=0.6)
-    assert good.verdict == "subgaussian"
-
-
-def test_laplace_exponential_window_verdict():
-    rng = np.random.default_rng(9)
-    x = rng.exponential(size=100_000)
-    rep = laplace_check(x, bound_k=1.0, window=0.6, t_max=0.9)
-    # -t - log(1-t) stays under t^2 out to t ~ 0.68, then crosses
-    assert rep.verdict == "subexponential"
-    assert rep.first_violation_t >= 0.6
-    bare = laplace_check(x, bound_k=1.0, t_max=0.9)
-    assert bare.verdict == "exceeds"
-    # at K = 1/2 the cubic term t^3/3 breaks the bound right away
-    tight = laplace_check(x, bound_k=0.5, t_max=0.9)
-    assert tight.verdict == "exceeds"
-    assert tight.first_violation_t < 0.5
-
-
-def test_laplace_truncates_overflowing_grid():
-    x = np.array([-500.0, 500.0] * 50)
-    rep = laplace_check(x, bound_k=0.5, t_max=10.0)
-    assert rep.truncated_at is not None
-    assert max(abs(t) for t in rep.t_grid) * 500.0 < 350.0
 
 
 def test_lil_exact_rate_not_flagged():
