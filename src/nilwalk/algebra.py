@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ResourceCeilingError
+
 RANK_RTOL = 1e-10
 VALIDATE_TOL = 1e-12
+# Largest dim algebra_from_json accepts.  Each dim^4 Jacobi temporary in
+# validate_algebra is then 128 MiB; algebra-check peaks near 0.5 GiB.
+MAX_DIM = 64
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +273,17 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
     """Algebra from a sparse 1-based bracket table [[i, j, [[k, c], ...]], ...].
 
     Raises ValueError on unknown keys, a dim or step that is not an
-    integer >= 1, an index outside 1..dim, a pair (i, j) given twice in
-    either order, or labels that are not a list of dim strings.
+    integer >= 1, an index outside 1..dim, a bracket of e_i with itself, a
+    pair (i, j) given twice in either order, or labels that are not a list
+    of dim strings; ResourceCeilingError on a dim above MAX_DIM, before the
+    dim^3 tensor is allocated.
     """
     unknown = set(data) - {"dim", "step", "brackets", "labels"}
     if unknown:
         raise ValueError(f"unknown algebra keys {sorted(unknown)}")
     dim, step = _count(data, "dim"), _count(data, "step")
+    if dim > MAX_DIM:
+        raise ResourceCeilingError(f"algebra dim {dim} exceeds the ceiling {MAX_DIM}")
     labels = data.get("labels", [])
     if "labels" in data and not (isinstance(labels, list) and len(labels) == dim
                                  and all(isinstance(s, str) for s in labels)):
@@ -285,6 +294,8 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
         i, j, coeffs = entry
         if not all(type(x) is int and 1 <= x <= dim for x in [i, j] + [k for k, _ in coeffs]):
             raise ValueError(f"bracket index outside 1..{dim} in {entry}")
+        if i == j:
+            raise ValueError(f"bracket of e{i} with itself in {entry}")
         pair = (min(i, j), max(i, j))
         if pair in pairs:
             raise ValueError(f"bracket of e{i} and e{j} given twice")

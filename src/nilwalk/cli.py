@@ -25,13 +25,13 @@ import jsonschema
 import numpy as np
 
 from .algebra import algebra_from_json, validate_algebra, weighted_filtration
+from .bch import TABLE_CAP
 from .errors import NumericalValidationError, ResourceCeilingError, SchemaError
 from .manifest import (MANIFEST_SCHEMA_VERSION, attach_file_hashes, gauge_hash,
                        read_csv_columns, sha256_file, write_manifest,
                        write_scan_csv, write_walk_csv)
 from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS,
-                      assemble_setup, build_split_group, build_walk_setup,
-                      stay_diagnostic)
+                      build_split_group, build_walk_setup, stay_diagnostic)
 from .semidirect import abelianized_mean, distribution_from_json
 from .splitting import delta_ratio_scan
 from .stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
@@ -48,38 +48,31 @@ CONFIG_SCHEMA = {
         "distribution": {"type": "object"},
         "v": {"type": "array", "items": {"type": "number"}},
         "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "reps": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        "n": {"type": "integer", "minimum": 1, "default": 1024},
+        "reps": {"type": "integer", "minimum": 1, "default": 1000},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
         "checkpoints": {"type": "array", "items": {"type": "integer", "minimum": 1},
                         "minItems": 1},
-        "gauge": {"enum": ["bracket_hull", "scaled_euclidean"]},
-        "filtration": {"enum": ["auto", "standard"]},
-        "conjugate": {"enum": ["auto", "never"]},
-        "cross_check": {"type": "boolean"},
+        "gauge": {"enum": ["bracket_hull", "scaled_euclidean"], "default": "bracket_hull"},
+        "filtration": {"enum": ["auto", "standard"], "default": "auto"},
+        "conjugate": {"enum": ["auto", "never"], "default": "auto"},
+        "cross_check": {"type": "boolean", "default": False},
         "max_work": {"type": "integer", "minimum": 1},
         "csv": {"type": "string"},
-        "column": {"enum": ["M", "M_scaled", "y_norm"]},
+        "column": {"enum": ["M", "M_scaled", "y_norm"], "default": "M_scaled"},
         "lil_alpha": {"type": "number", "exclusiveMinimum": 0},
-        "bootstrap": {"type": "integer", "minimum": 0},
-        "svg": {"type": "boolean"},
+        "bootstrap": {"type": "integer", "minimum": 0, "default": 1000},
+        "svg": {"type": "boolean", "default": False},
     },
     "required": ["schema_version", "kind"],
     "additionalProperties": False,
 }
 
-DEFAULTS = {
-    "seed": 0,
-    "n": 1024,
-    "reps": 1000,
-    "gauge": "bracket_hull",
-    "filtration": "auto",
-    "conjugate": "auto",
-    "cross_check": False,
-    "column": "M_scaled",
-    "bootstrap": 1000,
-    "svg": False,
-}
+DEFAULTS = {k: p["default"] for k, p in CONFIG_SCHEMA["properties"].items() if "default" in p}
+
+# The preset table each kind's "preset" key names.
+PRESETS = {"walk": WALK_PRESETS, "split-scan": SPLIT_PRESETS,
+           "algebra-check": ALGEBRA_PRESETS}
 
 
 # Config keys recorded in each kind's manifest, so a replay can rerun it.
@@ -95,7 +88,7 @@ MANIFEST_CONFIG_KEYS = {
 
 
 def validate_config(cfg: dict) -> dict:
-    """cfg checked against the schema and its kind's keys, with DEFAULTS filled in."""
+    """cfg checked against the schema, its kind's keys and presets, with DEFAULTS filled in."""
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.exceptions.ValidationError as exc:
@@ -103,6 +96,8 @@ def validate_config(cfg: dict) -> dict:
     unread = sorted(set(cfg) - set(MANIFEST_CONFIG_KEYS[cfg["kind"]]) - {"seed"})
     if unread:
         raise SchemaError(f"config rejected: {cfg['kind']} does not read {unread}")
+    if cfg.get("preset") and cfg["preset"] not in PRESETS[cfg["kind"]]:
+        raise SchemaError(f"unknown {cfg['kind']} preset {cfg['preset']!r}")
     try:
         json.dumps(cfg, allow_nan=False)
     except ValueError as exc:
@@ -120,24 +115,25 @@ def default_checkpoints(n: int) -> tuple[int, ...]:
 
 
 def _walk_setup_from_config(cfg: dict):
+    """The walk setup for a preset, or for an inline algebra + distribution."""
     if cfg.get("preset"):
-        if cfg["preset"] not in WALK_PRESETS:
-            raise SchemaError(f"unknown walk preset {cfg['preset']!r}")
-        return build_walk_setup(cfg["preset"], eps=cfg.get("eps"),
-                                seed=cfg["seed"], gauge_mode=cfg["gauge"],
-                                filtration_choice=cfg["filtration"],
-                                conjugate=cfg["conjugate"])
-    if "algebra" in cfg and "distribution" in cfg:
+        name, law = cfg["preset"], None
+    elif "algebra" in cfg and "distribution" in cfg:
         alg, _ = _load_algebra(cfg["algebra"])
+        if alg.step > TABLE_CAP:
+            raise SchemaError(f"walk needs an algebra of step at most {TABLE_CAP} "
+                              f"(the BCH table cap), got step {alg.step}")
         try:
-            dist = distribution_from_json(alg, cfg["distribution"])
+            law = distribution_from_json(alg, cfg["distribution"])
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(f"bad distribution payload: {exc}") from exc
-        return assemble_setup("custom", alg, dist, eps=cfg.get("eps"),
-                              seed=cfg["seed"], gauge_mode=cfg["gauge"],
-                              filtration_choice=cfg["filtration"],
-                              conjugate=cfg["conjugate"])
-    raise SchemaError("walk needs a preset or inline algebra + distribution")
+        name = "custom"
+    else:
+        raise SchemaError("walk needs a preset or inline algebra + distribution")
+    return build_walk_setup(name, law, eps=cfg.get("eps"), seed=cfg["seed"],
+                            gauge_mode=cfg["gauge"],
+                            filtration_choice=cfg["filtration"],
+                            conjugate=cfg["conjugate"])
 
 
 def _load_algebra(payload: dict | None = None, preset: str | None = None):
@@ -147,8 +143,6 @@ def _load_algebra(payload: dict | None = None, preset: str | None = None):
     nilpotent Lie bracket of the declared step fails validation (exit 4).
     """
     if preset:
-        if preset not in ALGEBRA_PRESETS:
-            raise SchemaError(f"unknown algebra preset {preset!r}")
         alg = ALGEBRA_PRESETS[preset]()
     else:
         try:
@@ -228,8 +222,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
     if result.cross_residual is not None:
         derived["cross_check_residual"] = result.cross_residual
     if setup.preset == "r1-flip-eps":
-        eps = setup.eps if setup.eps is not None else 0.01
-        derived["stay_probability"] = stay_diagnostic(result, run, eps, n)
+        derived["stay_probability"] = stay_diagnostic(result, run, n)
 
     kappa = derived["kappa_mu"]
     kappa_txt = kappa if isinstance(kappa, str) else "%.6g" % kappa
@@ -242,8 +235,6 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
     preset = cfg.get("preset")
     if not preset:
         raise SchemaError("split-scan needs a preset")
-    if preset not in SPLIT_PRESETS:
-        raise SchemaError(f"unknown split preset {preset!r}")
     group = build_split_group(preset)
     scan = delta_ratio_scan(group, cfg["reps"], cfg["seed"])
 

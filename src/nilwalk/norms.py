@@ -42,16 +42,19 @@ DEFAULT_CALIBRATION_PAIRS = 100_000
 DEFAULT_HULL_SAMPLES = 2048
 
 
-@dataclass(frozen=True)
+@dataclass
 class HomogeneousNorm:
+    """A gauge.  build_gauge fills it in place: the per-weight lists weight
+    by weight, then bilinearity_bound once the gauge is complete."""
+
     filtration: Filtration
     mode: str
-    layer_scales: tuple[float, ...]
+    layer_scales: list[float]
     kappa: tuple[float, ...]
-    hull_vertices: tuple[np.ndarray | None, ...]   # layer coords, per weight
-    hull_facets: tuple[np.ndarray | None, ...]     # rows (a..., b): a.x <= b
+    hull_vertices: list[np.ndarray | None]   # layer coords, per weight
+    hull_facets: list[np.ndarray | None]     # rows (a..., b): a.x <= b
     # 2-D hull layers only: (sorted start-vertex angles, facet rows in that order)
-    hull_angular: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    hull_angular: list[tuple[np.ndarray, np.ndarray] | None]
     fallback_weights: tuple[int, ...]
     bilinearity_bound: float
 
@@ -236,8 +239,7 @@ def _hull_layer(vertices: np.ndarray):
     return vertices[np.sort(hull.vertices)], facets, angular
 
 
-def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
-                mode: str = "scaled_euclidean",
+def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str,
                 seed: int = 0,
                 calibration_pairs: int = DEFAULT_CALIBRATION_PAIRS,
                 hull_samples: int = DEFAULT_HULL_SAMPLES) -> HomogeneousNorm:
@@ -247,16 +249,9 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
     depth = filt.depth
     kap = default_kappas(depth)
     ce = max(1.0, euclidean_bilinearity_bound(alg))
-
-    scales = [1.0] * depth
-    hull_v: list[np.ndarray | None] = [None] * depth
-    hull_f: list[np.ndarray | None] = [None] * depth
-    hull_a: list[tuple[np.ndarray, np.ndarray] | None] = [None] * depth
-    fallback: list[int] = []
-
-    norm = HomogeneousNorm(filtration=filt, mode=mode, layer_scales=tuple(scales),
-                           kappa=kap, hull_vertices=tuple(hull_v),
-                           hull_facets=tuple(hull_f), hull_angular=tuple(hull_a),
+    norm = HomogeneousNorm(filtration=filt, mode=mode, layer_scales=[1.0] * depth,
+                           kappa=kap, hull_vertices=[None] * depth,
+                           hull_facets=[None] * depth, hull_angular=[None] * depth,
                            fallback_weights=(), bilinearity_bound=0.0)
 
     per_layer_pairs = max(256, calibration_pairs // max(1, depth - 1))
@@ -269,13 +264,12 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
             verts = _build_hull_layer(alg, norm, w, kap[i], hull_samples, seed)
             hull = _hull_layer(verts) if verts is not None else None
             if hull is not None:
-                hull_v[i], hull_f[i], hull_a[i] = hull
-                norm = _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback)
+                norm.hull_vertices[i], norm.hull_facets[i], norm.hull_angular[i] = hull
                 continue
-            fallback.append(w)
-        # scaled euclidean path (default mode, or hull fallback)
+            norm.fallback_weights += (w,)
+        # scaled euclidean path (scaled_euclidean mode, or hull fallback)
+        scales = norm.layer_scales
         scales[i] = max(kap[i] * ce * scales[i - 1], 1e-300)
-        norm = _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback)
         rng = substream(seed, STREAM_GAUGE, 3, w)
         for _ in range(200):
             u = _sample_ball(rng, norm, per_layer_pairs, w - 1)
@@ -285,23 +279,12 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration,
             if worst <= 1.0:
                 break
             scales[i] *= 2.0
-            norm = _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback)
         else:
             raise RuntimeError(f"gauge calibration did not converge at weight {w}")
 
-    bilin = bilinearity_constant(norm, alg, n_pairs=min(20_000, calibration_pairs),
-                                 seed=seed)
-    return _rebuild(norm, scales, hull_v, hull_f, hull_a, fallback, bilin)
-
-
-def _rebuild(norm: HomogeneousNorm, scales, hull_v, hull_f, hull_a, fallback,
-             bilin: float = 0.0) -> HomogeneousNorm:
-    return HomogeneousNorm(filtration=norm.filtration, mode=norm.mode,
-                           layer_scales=tuple(scales), kappa=norm.kappa,
-                           hull_vertices=tuple(hull_v), hull_facets=tuple(hull_f),
-                           hull_angular=tuple(hull_a),
-                           fallback_weights=tuple(sorted(fallback)),
-                           bilinearity_bound=bilin)
+    norm.bilinearity_bound = bilinearity_constant(
+        norm, alg, n_pairs=min(20_000, calibration_pairs), seed=seed)
+    return norm
 
 
 def _build_hull_layer(alg: NilpotentAlgebra, norm: HomogeneousNorm, weight: int,

@@ -1,9 +1,10 @@
 """Named experiment setups: algebras, step laws, gauges, scan actions.
 
-Each walk preset bundles an algebra, a finite twist group, an atomic
-step law, and a policy for the filtration and gauge.  Derived data
-(drift, spectral constant, centering element) comes from the step law
-itself; the builder only decides whether to conjugate and which
+Each walk preset builds an atomic step law, which carries its algebra
+and finite twist group.  build_walk_setup applies one policy for the
+filtration and gauge to a preset's law or to an explicit one.  Derived
+data (drift, spectral constant, centering element) comes from the step
+law itself; the builder only decides whether to conjugate and which
 filtration the norm lives on.
 """
 
@@ -58,16 +59,12 @@ def abelian_algebra(dim: int) -> NilpotentAlgebra:
     return NilpotentAlgebra(dim=dim, step=1, tensor=np.zeros((dim, dim, dim)))
 
 
-def _uniform_generators(alg: NilpotentAlgebra, q, k: int = 2) -> StepDistribution:
-    """Uniform law on +/- the first k basis directions, no twist."""
-    atoms = []
-    for i in range(k):
-        for s in (1.0, -1.0):
-            xi = np.zeros(alg.dim)
-            xi[i] = s
-            atoms.append(xi)
-    return StepDistribution(alg=alg, q=q, probs=np.full(2 * k, 1.0 / (2 * k)),
-                            xis=np.stack(atoms), kappas=np.zeros(2 * k, dtype=np.int64))
+def _uniform_generators(alg: NilpotentAlgebra, q) -> StepDistribution:
+    """Uniform law on +/- e1 and +/- e2, no twist."""
+    xis = np.zeros((4, alg.dim))
+    xis[:, :2] = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    return StepDistribution(alg=alg, q=q, probs=np.full(4, 0.25), xis=xis,
+                            kappas=np.zeros(4, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -82,41 +79,33 @@ class WalkSetup:
     norm: HomogeneousNorm
     conjugated: bool
     scaling_exponent: float
-    eps: float | None
     notes: tuple[str, ...]
 
 
 def _walk_heisenberg_srw(eps):
-    alg = heisenberg_algebra()
-    return alg, _uniform_generators(alg, finite_group(groups.trivial(3)))
+    return _uniform_generators(heisenberg_algebra(), finite_group(groups.trivial(3)))
 
 
 def _walk_heisenberg_drift(eps):
-    alg = heisenberg_algebra()
-    xis = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
-    dist = StepDistribution(alg=alg, q=finite_group(groups.trivial(3)),
-                            probs=np.array([0.5, 0.5]), xis=xis,
+    return StepDistribution(alg=heisenberg_algebra(), q=finite_group(groups.trivial(3)),
+                            probs=np.array([0.5, 0.5]),
+                            xis=np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
                             kappas=np.zeros(2, dtype=np.int64))
-    return alg, dist
 
 
 def _walk_filiform4_srw(eps):
-    alg = filiform_algebra(4)
-    return alg, _uniform_generators(alg, finite_group(groups.trivial(4)))
+    return _uniform_generators(filiform_algebra(4), finite_group(groups.trivial(4)))
 
 
 def _walk_engel5_srw(eps):
-    alg = free_step3_algebra()
-    return alg, _uniform_generators(alg, finite_group(groups.trivial(5)))
+    return _uniform_generators(free_step3_algebra(), finite_group(groups.trivial(5)))
 
 
 def _walk_r2_c4(eps):
-    alg = abelian_algebra(2)
-    q = finite_group(groups.cyclic_rotations(4))
-    dist = StepDistribution(alg=alg, q=q, probs=np.array([1.0]),
-                            xis=np.array([[1.0, 0.0]]),
+    return StepDistribution(alg=abelian_algebra(2),
+                            q=finite_group(groups.cyclic_rotations(4)),
+                            probs=np.array([1.0]), xis=np.array([[1.0, 0.0]]),
                             kappas=np.array([1], dtype=np.int64))
-    return alg, dist
 
 
 def _walk_r1_flip_eps(eps):
@@ -124,21 +113,20 @@ def _walk_r1_flip_eps(eps):
         eps = 0.01
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly between 0 and 1")
-    alg = abelian_algebra(1)
-    q = finite_group(groups.sign_flip_line())
-    dist = StepDistribution(alg=alg, q=q, probs=np.array([1.0 - eps, eps]),
+    return StepDistribution(alg=abelian_algebra(1), q=finite_group(groups.sign_flip_line()),
+                            probs=np.array([1.0 - eps, eps]),
                             xis=np.array([[1.0], [0.0]]),
                             kappas=np.array([0, 1], dtype=np.int64))
-    return alg, dist
 
 
+# name -> factory(eps) returning the step law; only r1-flip-eps reads eps
 WALK_PRESETS = {
-    "heisenberg-srw": (_walk_heisenberg_srw, "centred +/-e1, +/-e2 walk on the step-2 group"),
-    "heisenberg-drift": (_walk_heisenberg_drift, "drifted walk, steps exp(e1 +/- e2)"),
-    "filiform4-srw": (_walk_filiform4_srw, "centred generator walk on the step-3 chain group"),
-    "engel5-srw": (_walk_engel5_srw, "centred generator walk on the free step-3 group"),
-    "r2-c4": (_walk_r2_c4, "plane shift twisted by quarter turns"),
-    "r1-flip-eps": (_walk_r1_flip_eps, "line shift with a rare sign flip (set --eps)"),
+    "heisenberg-srw": _walk_heisenberg_srw,
+    "heisenberg-drift": _walk_heisenberg_drift,
+    "filiform4-srw": _walk_filiform4_srw,
+    "engel5-srw": _walk_engel5_srw,
+    "r2-c4": _walk_r2_c4,
+    "r1-flip-eps": _walk_r1_flip_eps,
 }
 
 ALGEBRA_PRESETS = {
@@ -157,33 +145,21 @@ SPLIT_PRESETS = {
 }
 
 
-def build_walk_setup(preset: str, eps: float | None = None, seed: int = 0,
+def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
+                     eps: float | None = None, seed: int = 0,
                      gauge_mode: str = "bracket_hull",
                      filtration_choice: str = "auto",
                      conjugate: str = "auto") -> WalkSetup:
-    """Assemble the distribution, filtration, and gauge for a walk preset.
+    """Assemble the distribution, filtration, and gauge for a walk.
 
-    filtration_choice "auto" adapts the filtration to the invariant drift
-    (degenerating to the lower central series for centred laws);
-    "standard" forces the lower central series.  conjugate "auto" applies
-    the centering conjugation whenever the law calls for one.
+    The law is the walk preset's, or `law` when given (then `preset` only
+    names the run).  filtration_choice "auto" adapts the filtration to the
+    invariant drift (degenerating to the lower central series for centred
+    laws); "standard" forces the lower central series.  conjugate "auto"
+    applies the centering conjugation whenever the law calls for one.
     """
-    if preset not in WALK_PRESETS:
-        raise KeyError(f"unknown walk preset {preset!r}")
-    factory, _ = WALK_PRESETS[preset]
-    alg, base = factory(eps)
-    return assemble_setup(preset, alg, base, eps=eps, seed=seed,
-                          gauge_mode=gauge_mode,
-                          filtration_choice=filtration_choice,
-                          conjugate=conjugate)
-
-
-def assemble_setup(name: str, alg: NilpotentAlgebra, base: StepDistribution,
-                   eps: float | None = None, seed: int = 0,
-                   gauge_mode: str = "bracket_hull",
-                   filtration_choice: str = "auto",
-                   conjugate: str = "auto") -> WalkSetup:
-    """Apply the conjugation/filtration/gauge policy to an explicit law."""
+    base = WALK_PRESETS[preset](eps) if law is None else law
+    alg = base.alg
     rep = q_validate(alg, base.q)
     if not rep.ok:
         raise NumericalValidationError(f"twist group fails validation: {rep}")
@@ -216,36 +192,33 @@ def assemble_setup(name: str, alg: NilpotentAlgebra, base: StepDistribution,
     else:
         exponent = 0.5
 
-    norm = build_gauge(alg, filt, mode=gauge_mode, seed=seed)
+    norm = build_gauge(alg, filt, gauge_mode, seed=seed)
     if norm.fallback_weights:
         notes.append("hull construction degenerate on weights "
                      f"{norm.fallback_weights}; scaled gauge used there")
-    return WalkSetup(preset=name, alg=alg, base_dist=base, dist=dist,
+    return WalkSetup(preset=preset, alg=alg, base_dist=base, dist=dist,
                      filtration=filt, norm=norm, conjugated=conjugated,
-                     scaling_exponent=exponent, eps=eps, notes=tuple(notes))
+                     scaling_exponent=exponent, notes=tuple(notes))
 
 
 def build_split_group(preset: str):
-    if preset not in SPLIT_PRESETS:
-        raise KeyError(f"unknown split preset {preset!r}")
     factory, _ = SPLIT_PRESETS[preset]
     return factory()
 
 
-def stay_diagnostic(result: SampleMatrix, dist: StepDistribution,
-                    eps: float, n: int) -> dict:
+def stay_diagnostic(result: SampleMatrix, dist: StepDistribution, n: int) -> dict:
     """Fraction of replicates that never flipped, against the exact power.
 
     A replicate that avoided every flip atom ends with the twist at the
     identity and the first displacement coordinate exactly n; any flip
     makes both impossible at once, so the event is read off the final
-    state exactly.
+    state exactly.  The exact rate is p^n, p the first (stay) atom's probability.
     """
     last = result.column(n)
     ident = int(dist.q.identity)
     stayed = (result.q_index[:, last] == ident) & (result.final_y[:, 0] == float(n))
     emp = float(np.mean(stayed))
-    exact = float((1.0 - eps) ** n)
+    exact = float(dist.probs[0]) ** n
     half = 3.0 * float(np.sqrt(exact * (1.0 - exact) / result.replications))
     return {"empirical": emp, "exact": exact, "halfwidth_3sigma": half,
             "within_band": bool(abs(emp - exact) <= half)}

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilwalk.algebra import (NilpotentAlgebra, algebra_from_json,
+from nilwalk.algebra import (MAX_DIM, NilpotentAlgebra, algebra_from_json,
                              layer_components, lower_central_filtration,
                              lower_central_series, validate_algebra,
                              weighted_filtration)
+from nilwalk.errors import ResourceCeilingError
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
@@ -198,6 +199,12 @@ def test_json_round_trip():
     assert clone.dim == alg.dim and clone.step == alg.step
     assert np.array_equal(clone.tensor, alg.tensor)
     assert clone.labels == ("x", "y", "xy", "xxy", "yxy")
+
+
+def test_json_dim_ceiling():
+    assert algebra_from_json({"dim": MAX_DIM, "step": 1}).dim == MAX_DIM
+    with pytest.raises(ResourceCeilingError):
+        algebra_from_json({"dim": MAX_DIM + 1, "step": 1})
 
 
 @given(st.integers(min_value=1, max_value=5))

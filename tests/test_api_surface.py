@@ -4,6 +4,7 @@ Every module-level function or class under src/nilwalk, and every public
 method, must be referenced from src/nilwalk outside its own definition,
 by code that is itself in use.  KEEP lists the names whose only callers
 live outside the package: the acceptance criteria and the benchmark shim.
+The number of settable values is held at or below SETTABLE_CEILING.
 """
 
 import ast
@@ -14,6 +15,7 @@ import nilwalk
 
 SRC = Path(nilwalk.__file__).parent
 KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
+SETTABLE_CEILING = 35
 
 
 class Definition(NamedTuple):
@@ -70,3 +72,44 @@ def test_every_definition_is_used_inside_the_package():
 def test_every_exported_name_imports():
     missing = [name for name in nilwalk.__all__ if not hasattr(nilwalk, name)]
     assert not missing, f"nilwalk.__all__ names {missing}, which do not import"
+
+
+def _is_dataclass(decorator):
+    call = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(call, ast.Name) and call.id == "dataclass"
+
+
+def _init_default(stmt):
+    """Whether a dataclass class-body statement is an init field with a default."""
+    if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
+        return False
+    value = stmt.value
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return True
+    kw = {k.arg: k.value for k in value.keywords}
+    init = kw.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in kw or "default_factory" in kw
+
+
+def settable_values():
+    """Defaulted def parameters plus defaulted dataclass init fields in src/nilwalk."""
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass,
+                                                            node.decorator_list)):
+                count += sum(map(_init_default, node.body))
+    return count
+
+
+def test_settable_values_stay_at_or_below_ceiling():
+    count = settable_values()
+    assert count <= SETTABLE_CEILING, (
+        f"{count} defaulted parameters and dataclass fields in src/nilwalk, "
+        f"ceiling {SETTABLE_CEILING}: give a new setting a caller that sets it, "
+        "or make it a constant")

@@ -213,6 +213,14 @@ def test_algebra_check_inline_payload(tmp_path):
     assert read_json(out / "algebra-report.json")["dim"] == 5
 
 
+def test_algebra_check_accepts_step_above_bch_cap(tmp_path):
+    payload = tmp_path / "alg.json"
+    payload.write_text(json.dumps(FILIFORM8))
+    out = tmp_path / "a"
+    assert run(["algebra-check", "--algebra", payload, "--out", out]) == 0
+    assert read_json(out / "algebra-report.json")["step"] == 7
+
+
 def test_algebra_check_rejects_non_jacobi_tensor(tmp_path, capsys):
     # [e1,e2] = e3 and [e1,e3] = e1 violate the Jacobi identity:
     # [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]] = e3
@@ -269,6 +277,12 @@ def dist_with(**atom0):
     dist["atoms"][0].update(atom0)
     return dist
 
+
+# [e1, e_i] = e_(i+1): dimension 8, step 7, one above the BCH table cap
+FILIFORM8 = {"dim": 8, "step": 7, "brackets": [[1, i, [[i + 1, 1.0]]] for i in range(2, 8)]}
+FILIFORM8_WALK = inline_walk(algebra=FILIFORM8, distribution={
+    "atoms": [{"p": 0.5, "xi": [s] + [0] * 7, "kappa": 0} for s in (1, -1)],
+    "Q": {"matrices": [[[float(r == c) for c in range(8)] for r in range(8)]]}})
 
 NO_FILES_MANIFEST = {"schema_version": 1, "kind": "algebra-check",
                "config": {"schema_version": 1, "kind": "algebra-check",
@@ -401,6 +415,25 @@ MALFORMED = [
     ("walk-unknown-distribution-key", {"c.json": json.dumps(inline_walk(distribution=dict(
         INLINE_WALK["distribution"], seed=1)))},
      ["walk", "--config", "c.json"], 2),
+    ("algebra-dim-above-ceiling", {"a.json": json.dumps(
+        {"dim": 1_000_000, "step": 1, "brackets": []})},
+     ["algebra-check", "--algebra", "a.json"], 3),
+    ("algebra-bracket-with-itself", {"a.json": json.dumps(
+        {"dim": 2, "step": 1, "brackets": [[1, 1, [[2, 1.0]]]]})},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("walk-step-above-bch-cap", {"c.json": json.dumps(FILIFORM8_WALK)},
+     ["walk", "--config", "c.json"], 2),
+    ("split-scan-unknown-preset", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "split-scan", "preset": "z9-r2"})},
+     ["split-scan", "--config", "c.json"], 2),
+    ("algebra-check-unknown-preset", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "algebra-check", "preset": "sl2"})},
+     ["algebra-check", "--config", "c.json"], 2),
+    ("manifest-unknown-preset", {"m.json": json.dumps(dict(
+        NO_FILES_MANIFEST, config={"schema_version": 1, "kind": "walk",
+                                   "preset": "brownian", "n": 4, "reps": 2},
+        files={"walk.csv": "0" * 64}))},
+     ["replay", "--manifest", "m.json"], 2),
 ]
 
 
