@@ -18,8 +18,8 @@ from .errors import ResourceCeilingError
 
 RANK_RTOL = 1e-10
 VALIDATE_TOL = 1e-12
-# Largest dim algebra_from_json accepts.  Each dim^4 Jacobi temporary in
-# validate_algebra is then 128 MiB; algebra-check peaks near 0.5 GiB.
+# Largest dim algebra_from_json accepts; validate_algebra's Jacobi
+# temporaries are then dim^3 doubles, 2 MiB each.
 MAX_DIM = 64
 
 
@@ -111,7 +111,6 @@ class ValidationReport:
     ok: bool
     antisymmetry_residual: float
     jacobi_residual: float
-    computed_step: int
     messages: tuple[str, ...] = ()
 
 
@@ -119,30 +118,30 @@ def validate_algebra(alg: NilpotentAlgebra) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity, and the declared step."""
     c = alg.tensor
     anti = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))))) if alg.dim else 0.0
-    d = alg.dim
-    # Jacobi on basis triples: [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]]
-    inner = c  # inner[b,c,m] coefficients of [e_b, e_c]
-    term = np.einsum("amk,bcm->abck", c, inner)
-    jac = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
-    jacobi = float(np.max(np.abs(jac))) if d else 0.0
+    # Jacobi on basis triples, one e_a at a time so temporaries stay dim^3:
+    # [e_a,[e_b,e_c]] + [e_c,[e_a,e_b]] + [e_b,[e_c,e_a]], indexed [b, c, k]
+    peaks = [np.max(np.abs(np.einsum("mk,bcm->bck", c[a], c)
+                           + np.einsum("cmk,bm->bck", c, c[a])
+                           + np.einsum("bmk,cm->bck", c, c[:, a])))
+             for a in range(alg.dim)]
+    jacobi = float(np.max(peaks)) if peaks else 0.0
     msgs = []
     try:
         series = lower_central_series(alg)
-        computed_step = len(series) - 1  # [gamma_1, ..., gamma_s, gamma_{s+1} = 0]
+        found_step = len(series) - 1  # [gamma_1, ..., gamma_s, gamma_{s+1} = 0]
     except ValueError:
-        computed_step = -1
+        found_step = -1
         msgs.append("lower central series does not terminate; not nilpotent")
     if anti > VALIDATE_TOL:
         msgs.append(f"antisymmetry residual {anti:.3e} exceeds {VALIDATE_TOL:.1e}")
     if jacobi > VALIDATE_TOL:
         msgs.append(f"jacobi residual {jacobi:.3e} exceeds {VALIDATE_TOL:.1e}")
-    if computed_step >= 0 and computed_step != alg.step:
-        msgs.append(f"computed step {computed_step} != declared step {alg.step}")
+    if found_step >= 0 and found_step != alg.step:
+        msgs.append(f"computed step {found_step} != declared step {alg.step}")
     return ValidationReport(
         ok=not msgs,
         antisymmetry_residual=anti,
         jacobi_residual=jacobi,
-        computed_step=computed_step,
         messages=tuple(msgs),
     )
 

@@ -28,7 +28,7 @@ from .algebra import algebra_from_json, validate_algebra, weighted_filtration
 from .bch import TABLE_CAP
 from .errors import NumericalValidationError, ResourceCeilingError, SchemaError
 from .manifest import (MANIFEST_SCHEMA_VERSION, attach_file_hashes, gauge_hash,
-                       read_csv_columns, sha256_file, write_manifest,
+                       read_csv_columns, sha256_file, write_csv, write_manifest,
                        write_scan_csv, write_walk_csv)
 from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS,
                       build_split_group, build_walk_setup, stay_diagnostic)
@@ -188,9 +188,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
     try:
         wcfg = WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=n,
                           checkpoints=cps, replications=cfg["reps"],
-                          seed=cfg["seed"],
-                          scaling_exponent=setup.scaling_exponent,
-                          cross_check=cfg["cross_check"],
+                          seed=cfg["seed"], cross_check=cfg["cross_check"],
                           **({"max_work": cfg["max_work"]} if cfg.get("max_work") else {}))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
@@ -200,7 +198,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
     write_walk_csv(os.path.join(out_dir, "walk.csv"), result, setup,
                    cfg["seed"], nh)
 
-    base, run = setup.base_dist, setup.dist
+    base, run, filt = setup.base_dist, setup.dist, setup.norm.filtration
     derived = {
         "R_mu": run.radius,
         "R_mu_base": base.radius,
@@ -210,11 +208,9 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         "conjugated": setup.conjugated,
         "abelianized_mean": abelianized_mean(run),
         "scaling_exponent": setup.scaling_exponent,
-        "algebra": {"dim": setup.alg.dim, "step": setup.alg.step},
-        "filtration": {"kind": setup.filtration.kind,
-                       "depth": setup.filtration.depth,
-                       "weights": setup.filtration.weights,
-                       "layer_dims": setup.filtration.layer_dims()},
+        "algebra": {"dim": run.alg.dim, "step": run.alg.step},
+        "filtration": {"kind": filt.kind, "depth": filt.depth,
+                       "weights": filt.weights, "layer_dims": filt.layer_dims()},
         "gauge": {"mode": setup.norm.mode, "sha256": nh,
                   "bilinearity_bound": setup.norm.bilinearity_bound},
         "notes": setup.notes,
@@ -226,7 +222,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
 
     kappa = derived["kappa_mu"]
     kappa_txt = kappa if isinstance(kappa, str) else "%.6g" % kappa
-    return _emit(dict(cfg, checkpoints=list(cps)), out_dir, ["walk.csv"], derived,
+    return _emit(dict(cfg, checkpoints=list(wcfg.checkpoints)), out_dir, ["walk.csv"], derived,
                  f"walk: {result.replications} replicates, n={n}, "
                  f"kappa_mu={kappa_txt}, conjugated={setup.conjugated}")
 
@@ -323,10 +319,8 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     else:
         t_grid = np.linspace(0.0, 1.0, 5)
     p_hat, lo, hi = tail_curve(final, t_grid)
-    tail_rows = np.column_stack([t_grid, p_hat, lo, hi])
-    np.savetxt(os.path.join(out_dir, "fit-tail.csv"), tail_rows, fmt="%.17g",
-               delimiter=",", comments="# ",
-               header="nilwalk-tail-csv 1\ncolumns: t p lo hi")
+    write_csv(os.path.join(out_dir, "fit-tail.csv"), "tail", {}, ["t", "p", "lo", "hi"],
+              np.column_stack([t_grid, p_hat, lo, hi]))
     files = ["fit-tail.csv"]
 
     if cfg.get("lil_alpha") is not None:
@@ -438,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of steps")
     p.add_argument("--reps", type=int, help="number of replicates")
     p.add_argument("--eps", type=float, help="flip probability for r1-flip-eps")
-    p.add_argument("--checkpoints", help="comma-separated times (must end at n)")
+    p.add_argument("--checkpoints",
+                   help="comma-separated times, sorted and de-duplicated; the largest must be n")
     p.add_argument("--gauge", choices=["bracket_hull", "scaled_euclidean"])
     p.add_argument("--filtration", choices=["auto", "standard"])
     p.add_argument("--conjugate", choices=["auto", "never"])

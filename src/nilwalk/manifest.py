@@ -65,60 +65,50 @@ def _vector(v) -> str:
     return " ".join(_fmt(x) for x in np.asarray(v, dtype=float).ravel())
 
 
-def walk_header(setup, seed: int, norm_hash: str) -> str:
-    """Comment block for a walk CSV; one stable line per constant."""
-    d = setup.dist
-    kappa = "none" if d.kappa_mu is None else _fmt(d.kappa_mu)
-    layers = " ".join(f"layer_{i+1}" for i in range(setup.filtration.depth))
-    lines = [
-        "nilwalk-walk-csv 1",
-        f"preset: {setup.preset}",
-        f"seed: {seed}",
-        f"R_mu: {_fmt(d.radius)}",
-        f"kappa_mu: {kappa}",
-        f"v_mu: {_vector(d.v_mu)}",
-        f"centering: {_vector(setup.base_dist.centering)}",
-        f"conjugated: {str(setup.conjugated).lower()}",
-        f"scaling_exponent: {_fmt(setup.scaling_exponent)}",
-        f"gauge: {setup.norm.mode} sha256:{norm_hash}",
-        f"columns: replicate n M M_scaled y_norm q_index {layers}",
-    ]
-    return "\n".join(lines)
+def write_csv(path: str, kind: str, meta: dict, columns, rows) -> None:
+    """A nilwalk CSV: '# nilwalk-<kind>-csv 1', one '# key: value' line per
+    meta entry, '# columns: ...', then the rows at FLOAT_FMT."""
+    header = [f"nilwalk-{kind}-csv 1", *(f"{k}: {v}" for k, v in meta.items()),
+              "columns: " + " ".join(columns)]
+    np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header="\n".join(header),
+               comments="# ")
 
 
 def write_walk_csv(path: str, result: SampleMatrix, setup, seed: int,
                    norm_hash: str) -> None:
+    """One row per replicate and checkpoint; M_scaled is M / n^scaling_exponent."""
     r, k = result.running_max.shape
     nl = result.layer_euclid.shape[2]
     ns = np.asarray(result.checkpoints, dtype=float)
-    scaled = result.scaled_max()
     rows = np.empty((r * k, 6 + nl))
     rows[:, 0] = np.repeat(np.arange(r, dtype=float), k)
     rows[:, 1] = np.tile(ns, r)
     rows[:, 2] = result.running_max.ravel()
-    rows[:, 3] = scaled.ravel()
+    rows[:, 3] = (result.running_max / ns[None, :] ** setup.scaling_exponent).ravel()
     rows[:, 4] = result.y_norm.ravel()
     rows[:, 5] = result.q_index.ravel()
     rows[:, 6:] = result.layer_euclid.reshape(r * k, nl)
-    np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",",
-               header=walk_header(setup, seed, norm_hash), comments="# ")
-
-
-def scan_header(preset: str, seed: int, group_order: int) -> str:
-    lines = [
-        "nilwalk-scan-csv 1",
-        f"preset: {preset}",
-        f"seed: {seed}",
-        f"group_order: {group_order}",
-        "columns: replicate delta_raw Delta ratio",
-    ]
-    return "\n".join(lines)
+    d = setup.dist
+    meta = {
+        "preset": setup.preset,
+        "seed": seed,
+        "R_mu": _fmt(d.radius),
+        "kappa_mu": "none" if d.kappa_mu is None else _fmt(d.kappa_mu),
+        "v_mu": _vector(d.v_mu),
+        "centering": _vector(setup.base_dist.centering),
+        "conjugated": str(setup.conjugated).lower(),
+        "scaling_exponent": _fmt(setup.scaling_exponent),
+        "gauge": f"{setup.norm.mode} sha256:{norm_hash}",
+    }
+    columns = ["replicate", "n", "M", "M_scaled", "y_norm", "q_index"] + \
+        [f"layer_{i+1}" for i in range(nl)]
+    write_csv(path, "walk", meta, columns, rows)
 
 
 def write_scan_csv(path: str, scan: ScanResult, preset: str, seed: int,
                    group_order: int) -> None:
-    np.savetxt(path, scan.rows, fmt=FLOAT_FMT, delimiter=",",
-               header=scan_header(preset, seed, group_order), comments="# ")
+    write_csv(path, "scan", {"preset": preset, "seed": seed, "group_order": group_order},
+              ["replicate", "delta_raw", "Delta", "ratio"], scan.rows)
 
 
 def write_manifest(path: str, doc: dict) -> None:

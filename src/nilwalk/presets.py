@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .algebra import (Filtration, NilpotentAlgebra, lower_central_filtration,
-                      weighted_filtration)
+from .algebra import NilpotentAlgebra, lower_central_filtration, weighted_filtration
 from .errors import NumericalValidationError
 from .norms import HomogeneousNorm, build_gauge
 from .semidirect import (StepDistribution, conjugate_distribution,
@@ -69,13 +68,14 @@ def _uniform_generators(alg: NilpotentAlgebra, q) -> StepDistribution:
 
 @dataclass(frozen=True)
 class WalkSetup:
-    """Everything a Monte Carlo run needs, plus notes for the manifest."""
+    """Everything a Monte Carlo run needs, plus notes for the manifest.
+
+    The algebra is dist.alg and the filtration is norm.filtration.
+    """
 
     preset: str
-    alg: NilpotentAlgebra
     base_dist: StepDistribution
     dist: StepDistribution          # law the walker actually runs
-    filtration: Filtration
     norm: HomogeneousNorm
     conjugated: bool
     scaling_exponent: float
@@ -155,7 +155,7 @@ def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
     The law is the walk preset's, or `law` when given (then `preset` only
     names the run).  filtration_choice "auto" adapts the filtration to the
     invariant drift (degenerating to the lower central series for centred
-    laws); "standard" forces the lower central series.  conjugate "auto"
+    laws, |v_mu| <= CENTERING_TOL); "standard" forces the lower central series.  conjugate "auto"
     applies the centering conjugation whenever the law calls for one.
     """
     base = WALK_PRESETS[preset](eps) if law is None else law
@@ -174,16 +174,18 @@ def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
         conjugated = True
         notes.append("law conjugated by the centering element before walking")
 
+    # one threshold decides whether the law is centred, for the filtration,
+    # the notes and the displacement scale alike
+    drifted = float(np.linalg.norm(dist.v_mu)) > CENTERING_TOL
     if filtration_choice == "auto":
-        filt = weighted_filtration(alg, dist.v_mu)
-        if float(np.linalg.norm(dist.v_mu)) <= CENTERING_TOL:
+        filt = weighted_filtration(alg, dist.v_mu if drifted else np.zeros(alg.dim))
+        if not drifted:
             notes.append("centred law: adapted filtration equals the lower central series")
     elif filtration_choice == "standard":
         filt = lower_central_filtration(alg)
     else:
         raise ValueError("filtration must be 'auto' or 'standard'")
 
-    drifted = float(np.linalg.norm(dist.v_mu)) > CENTERING_TOL
     if drifted and filt.kind == "lower_central":
         s = alg.step
         exponent = (2.0 * s - 1.0) / (2.0 * s)
@@ -196,9 +198,9 @@ def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
     if norm.fallback_weights:
         notes.append("hull construction degenerate on weights "
                      f"{norm.fallback_weights}; scaled gauge used there")
-    return WalkSetup(preset=preset, alg=alg, base_dist=base, dist=dist,
-                     filtration=filt, norm=norm, conjugated=conjugated,
-                     scaling_exponent=exponent, notes=tuple(notes))
+    return WalkSetup(preset=preset, base_dist=base, dist=dist, norm=norm,
+                     conjugated=conjugated, scaling_exponent=exponent,
+                     notes=tuple(notes))
 
 
 def build_split_group(preset: str):

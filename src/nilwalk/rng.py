@@ -50,20 +50,14 @@ class AliasSampler:
     """Walker/Vose alias table for a finite distribution.
 
     Sampling consumes exactly two uniforms per draw, so the draw count per
-    step is fixed no matter what the probabilities are.
+    step is fixed no matter what the probabilities are.  probs is a checked
+    law (StepDistribution refuses negative entries or a sum off 1).
     """
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-d array")
-        if np.any(p < 0):
-            raise ValueError("negative probability")
-        total = p.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
         k = p.size
-        scaled = p * k / total
+        scaled = p * k / p.sum()
         self.n = k
         self.prob = np.ones(k)
         self.alias = np.arange(k)

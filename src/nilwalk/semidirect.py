@@ -92,13 +92,12 @@ def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> QValidation:
 class StepDistribution:
     """Finite atomic step law on the semidirect product, with derived data.
 
-    Derived fields (all computed at construction):
+    Construction splits the abelianized layer into V, the vectors fixed
+    by the subgroup generated by supp(mu_q) (mu_q the marginal law on Q),
+    and its orthocomplement W; the mean abelianized displacement splits
+    into v_mu in V and w_mu in W.  Derived fields:
       radius          largest euclidean atom displacement
-      mu_q            marginal law on Q, indexed like q.matrices
-      v_basis, w_basis  split of the abelianized layer into vectors fixed
-                      by the subgroup generated by supp(mu_q), and its
-                      orthocomplement
-      v_mu, w_mu      components of the mean abelianized displacement
+      v_mu            invariant part of the mean abelianized displacement
       kappa_mu        smallest singular value of (I - Ad(mu_q)) on W;
                       None when W = {0} (nothing to contract)
       centering       element y of W solving (I - Ad(mu_q)) y = w_mu; the
@@ -111,11 +110,7 @@ class StepDistribution:
     xis: np.ndarray               # (m, d)
     kappas: np.ndarray            # (m,) indices
     radius: float = field(init=False)
-    mu_q: np.ndarray = field(init=False)
-    v_basis: np.ndarray = field(init=False)
-    w_basis: np.ndarray = field(init=False)
     v_mu: np.ndarray = field(init=False)
-    w_mu: np.ndarray = field(init=False)
     kappa_mu: float | None = field(init=False)
     centering: np.ndarray = field(init=False)
 
@@ -140,18 +135,11 @@ class StepDistribution:
         object.__setattr__(self, "radius", float(np.max(np.linalg.norm(xis, axis=1))))
         mu_q = np.zeros(self.q.order)
         np.add.at(mu_q, kappas, probs)
-        object.__setattr__(self, "mu_q", mu_q)
-
         v_b, w_b = invariant_split(self.alg, self.q, np.nonzero(mu_q > 0)[0])
-        object.__setattr__(self, "v_basis", v_b)
-        object.__setattr__(self, "w_basis", w_b)
-
         m1 = _abelianized_layer(self.alg)
         mean_ab = project_onto(m1, probs @ xis)
-        v_mu = project_onto(v_b, mean_ab)
+        object.__setattr__(self, "v_mu", project_onto(v_b, mean_ab))
         w_mu = project_onto(w_b, mean_ab)
-        object.__setattr__(self, "v_mu", v_mu)
-        object.__setattr__(self, "w_mu", w_mu)
 
         if w_b.shape[0] == 0:
             object.__setattr__(self, "kappa_mu", None)

@@ -53,7 +53,6 @@ class WalkConfig:
     checkpoints: tuple[int, ...]
     replications: int
     seed: int
-    scaling_exponent: float = 0.5
     cross_check: bool = False
     max_work: int = DEFAULT_MAX_WORK
 
@@ -80,16 +79,11 @@ class SampleMatrix:
     layer_euclid: np.ndarray       # (R, K, L) euclidean layer components of y_n
     q_index: np.ndarray            # (R, K) twist position
     final_y: np.ndarray            # (R, d)
-    scaling_exponent: float
     cross_residual: float | None = None
 
     @property
     def replications(self) -> int:
         return self.running_max.shape[0]
-
-    def scaled_max(self) -> np.ndarray:
-        n = np.asarray(self.checkpoints, dtype=float)
-        return self.running_max / n[None, :] ** self.scaling_exponent
 
     def column(self, n: int) -> int:
         return self.checkpoints.index(n)
@@ -198,7 +192,6 @@ def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
         layer_euclid=np.concatenate([res["layers"] for res in results]),
         q_index=np.concatenate([res["q"] for res in results]),
         final_y=np.concatenate([np.atleast_2d(res["final_y"]) for res in results]),
-        scaling_exponent=cfg.scaling_exponent,
         cross_residual=(max(res["cross"] for res in results)
                         if cfg.cross_check else None),
     )

@@ -111,6 +111,16 @@ def _bracket_all(tensor, basis_a, basis_b):
     return out
 
 
+def jacobi_residual_dense(tensor):
+    """Largest |[e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]]| over all triples.
+
+    Builds the whole dim^4 array at once, summed in the library's term order.
+    """
+    term = np.einsum("amk,bcm->abck", tensor, tensor)
+    jac = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
+    return float(np.max(np.abs(jac))) if tensor.shape[0] else 0.0
+
+
 def closure_weighted_ideals(tensor, v, max_iter=64):
     """Recompute the drift-weighted ideal chain by explicit span closure.
 

@@ -189,8 +189,7 @@ def test_criterion_05_drift_scaling():
     drift_std = build_walk_setup("heisenberg-drift", filtration_choice="standard")
     res_d = monte_carlo(WalkConfig(dist=drift_std.dist, norm=drift_std.norm,
                                    n_steps=ns[-1], checkpoints=ns,
-                                   replications=reps, seed=0,
-                                   scaling_exponent=drift_std.scaling_exponent))
+                                   replications=reps, seed=0))
     srw = build_walk_setup("heisenberg-srw")
     res_s = monte_carlo(WalkConfig(dist=srw.dist, norm=srw.norm,
                                    n_steps=ns[-1], checkpoints=ns,

@@ -11,7 +11,7 @@ from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
 from oracles import (closure_weighted_ideals, containment_residual,
-                     subspace_contained)
+                     jacobi_residual_dense, subspace_contained)
 
 PRESET_ALGEBRAS = [heisenberg_algebra(), filiform_algebra(4),
                    free_step3_algebra(), abelian_algebra(2)]
@@ -46,6 +46,19 @@ def test_jacobi_violation_detected():
     t[0, 2, 0], t[2, 0, 0] = 1.0, -1.0
     rep = validate_algebra(NilpotentAlgebra(dim=3, step=2, tensor=t))
     assert not rep.ok
+
+
+def test_jacobi_residual_matches_dense_oracle():
+    """The one-index-at-a-time Jacobi check equals the dense dim^4 one bit for bit."""
+    tensors = [alg.tensor for alg in PRESET_ALGEBRAS] + [filiform_algebra(7).tensor]
+    rng = np.random.default_rng(5)
+    for dim in (3, 5, 8):
+        for _ in range(4):
+            t = rng.standard_normal((dim, dim, dim))
+            tensors.append(t - t.transpose(1, 0, 2))
+    for t in tensors:
+        alg = NilpotentAlgebra(dim=t.shape[0], step=1, tensor=t)
+        assert validate_algebra(alg).jacobi_residual == jacobi_residual_dense(t)
 
 
 def test_lower_central_series_heisenberg():

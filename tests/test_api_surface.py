@@ -4,6 +4,8 @@ Every module-level function or class under src/nilwalk, and every public
 method, must be referenced from src/nilwalk outside its own definition,
 by code that is itself in use.  KEEP lists the names whose only callers
 live outside the package: the acceptance criteria and the benchmark shim.
+Every dataclass field must be read as an attribute somewhere in
+src/nilwalk; KEEP_FIELDS lists the fields only a message or a test reads.
 The number of settable values is held at or below SETTABLE_CEILING.
 """
 
@@ -15,7 +17,10 @@ import nilwalk
 
 SRC = Path(nilwalk.__file__).parent
 KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
-SETTABLE_CEILING = 35
+# printed in the twist-validation error, and checked against c1/c2 by the fit test
+KEEP_FIELDS = {"QValidation.orthogonality_residual", "QValidation.automorphism_residual",
+               "ConcentrationFit.tail_t", "ConcentrationFit.tail_p"}
+SETTABLE_CEILING = 34
 
 
 class Definition(NamedTuple):
@@ -91,6 +96,26 @@ def _init_default(stmt):
     if isinstance(init, ast.Constant) and init.value is False:
         return False
     return "default" in kw or "default_factory" in kw
+
+
+def unread_fields():
+    """Class.field for each dataclass field no attribute read in src/nilwalk names."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass,
+                                                          node.decorator_list)):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return sorted(f"{cls}.{name}" for cls, name in fields
+                  if name not in reads and f"{cls}.{name}" not in KEEP_FIELDS)
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields()
+    assert not unread, f"no code in src/nilwalk reads the fields {unread}"
 
 
 def settable_values():

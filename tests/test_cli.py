@@ -3,6 +3,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +63,9 @@ def test_walk_writes_artifacts_with_matching_hashes(tmp_path):
     assert data.shape == (50 * 5, len(names))
     for want in ("replicate", "n", "M", "M_scaled", "y_norm", "q_index"):
         assert want in names
+    col = {name: data[:, i] for i, name in enumerate(names)}
+    exponent = man["derived"]["scaling_exponent"]
+    assert np.array_equal(col["M_scaled"], col["M"] / col["n"] ** exponent)
 
 
 def test_walk_byte_identical_across_thread_counts(tmp_path, monkeypatch):
@@ -100,6 +104,16 @@ def test_walk_checkpoint_flag_parsing(tmp_path):
     bad = run(["walk", "--preset", "heisenberg-srw", "--n", 64,
                "--reps", 10, "--checkpoints", "8,banana", "--out", out])
     assert bad == 2
+
+
+@pytest.mark.parametrize("given", ["8,4", "4,4,8"])
+def test_walk_records_the_checkpoints_it_ran(tmp_path, given):
+    out = tmp_path / "out"
+    assert run(["walk", "--preset", "heisenberg-srw", "--n", 8, "--reps", 2,
+                "--checkpoints", given, "--out", out]) == 0
+    assert read_json(out / "manifest.json")["config"]["checkpoints"] == [4, 8]
+    assert run(["replay", "--manifest", out / "manifest.json",
+                "--out", tmp_path / "again"]) == 0
 
 
 def test_walk_rejects_unknown_preset_from_config(tmp_path):
@@ -446,6 +460,24 @@ def test_malformed_input_exits_cleanly(tmp_path, capsys, files, argv, code):
     assert run(argv + ["--out", tmp_path / "o"]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_nearly_centred_law_gets_the_centred_filtration(tmp_path):
+    """One threshold (CENTERING_TOL) decides centring: a drift of 2e-13 is
+    below it, so the filtration is the lower central one the note names."""
+    eye = [[float(r == c) for c in range(3)] for r in range(3)]
+    cfg = inline_walk(distribution={
+        "atoms": [{"p": 0.25, "xi": xi, "kappa": 0} for xi in
+                  ([1 + 8e-13, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])],
+        "Q": {"matrices": [eye]}})
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(cfg))
+    assert run(["walk", "--config", cfgp, "--out", tmp_path / "o"]) == 0
+    derived = read_json(tmp_path / "o" / "manifest.json")["derived"]
+    assert 0 < derived["v_mu"][0] < 1e-12
+    assert any("centred law" in note for note in derived["notes"])
+    assert derived["filtration"]["layer_dims"] == [2, 1]
+    assert derived["scaling_exponent"] == 0.5
 
 
 def test_inline_walk_config_runs(tmp_path):

@@ -16,7 +16,6 @@ def test_every_walk_preset_assembles():
         setup = build_walk_setup(name)
         assert setup.preset == name
         assert setup.norm.filtration.depth >= 1
-        assert setup.dist.alg.dim == setup.alg.dim
         assert 0.5 <= setup.scaling_exponent < 1.0
 
 
@@ -41,17 +40,17 @@ def test_split_presets_build():
 
 def test_drift_preset_gets_adapted_filtration_and_half_exponent():
     setup = build_walk_setup("heisenberg-drift")
-    assert setup.filtration.kind == "weighted"
+    assert setup.norm.filtration.kind == "weighted"
     assert setup.scaling_exponent == 0.5
     assert not setup.conjugated        # trivial twist, nothing to centre
     # the drift e1 fills weight 1 with e2, pushing the bracket to weight 3
-    assert setup.filtration.layer_dims() == (2, 0, 1)
-    assert setup.filtration.depth == 3
+    assert setup.norm.filtration.layer_dims() == (2, 0, 1)
+    assert setup.norm.filtration.depth == 3
 
 
 def test_drift_preset_standard_filtration_changes_exponent():
     setup = build_walk_setup("heisenberg-drift", filtration_choice="standard")
-    assert setup.filtration.kind == "lower_central"
+    assert setup.norm.filtration.kind == "lower_central"
     # step 2 and nonzero drift: displacement scale (2s-1)/2s
     assert setup.scaling_exponent == pytest.approx(0.75)
     assert any("n^0.75" in note for note in setup.notes)
@@ -61,7 +60,7 @@ def test_centred_preset_keeps_lower_central_series():
     setup = build_walk_setup("heisenberg-srw")
     assert setup.scaling_exponent == 0.5
     assert np.linalg.norm(setup.dist.v_mu) <= 1e-15
-    assert setup.filtration.depth == setup.alg.step
+    assert setup.norm.filtration.depth == setup.dist.alg.step
     assert any("centred law" in note for note in setup.notes)
 
 

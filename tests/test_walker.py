@@ -46,8 +46,7 @@ def mirror_fold(dist, idx):
 
 def small_cfg(setup, n, reps, seed=0, **kw):
     return WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=n,
-                      checkpoints=(n,), replications=reps, seed=seed,
-                      scaling_exponent=setup.scaling_exponent, **kw)
+                      checkpoints=(n,), replications=reps, seed=seed, **kw)
 
 
 def test_srw_final_state_matches_plain_product():
@@ -226,12 +225,8 @@ def test_replicate_chunk_size_does_not_change_results(monkeypatch):
 def test_sample_matrix_helpers():
     setup = build_walk_setup("heisenberg-srw")
     cfg = WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=16,
-                     checkpoints=(4, 16), replications=5, seed=0,
-                     scaling_exponent=0.5)
+                     checkpoints=(4, 16), replications=5, seed=0)
     res = monte_carlo(cfg)
     assert res.replications == 5
     assert res.column(4) == 0 and res.column(16) == 1
-    scaled = res.scaled_max()
-    assert np.allclose(scaled[:, 0], res.running_max[:, 0] / 2.0)
-    assert np.allclose(scaled[:, 1], res.running_max[:, 1] / 4.0)
 
