@@ -162,12 +162,17 @@ def _bracket_span(alg: NilpotentAlgebra, a: np.ndarray, b: np.ndarray) -> np.nda
     return orthonormal_basis(prods, floor=float(np.max(np.abs(alg.tensor))))
 
 
+def _ideal_bracket_span(alg: NilpotentAlgebra, b: np.ndarray) -> np.ndarray:
+    """Span of [n, B]: _bracket_span with the whole algebra as a, in one contraction."""
+    prods = np.einsum("wj,ijk->iwk", b, alg.tensor).reshape(-1, alg.dim)
+    return orthonormal_basis(prods, floor=float(np.max(np.abs(alg.tensor))))
+
+
 def lower_central_series(alg: NilpotentAlgebra) -> list[np.ndarray]:
     """[gamma_1, gamma_2, ...] down to and including the first zero ideal."""
-    full = np.eye(alg.dim)
-    series = [full]
+    series = [np.eye(alg.dim)]
     for _ in range(alg.dim + 1):
-        nxt = _bracket_span(alg, full, series[-1])
+        nxt = _ideal_bracket_span(alg, series[-1])
         series.append(nxt)
         if nxt.shape[0] == 0:
             return series
@@ -236,7 +241,7 @@ def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
     vrow = v[None, :] / np.linalg.norm(v)
     ideals = [full, full]  # F^(0), F^(1)
     for i in range(1, 2 * alg.step + 2):
-        nxt = subspace_sum(_bracket_span(alg, full, ideals[i]),
+        nxt = subspace_sum(_ideal_bracket_span(alg, ideals[i]),
                            _bracket_span(alg, vrow, ideals[i - 1]))
         ideals.append(nxt)
         if nxt.shape[0] == 0:

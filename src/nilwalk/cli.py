@@ -43,26 +43,32 @@ CONFIG_SCHEMA = {
     "properties": {
         "schema_version": {"const": 1},
         "kind": {"enum": ["algebra-check", "walk", "fit", "split-scan"]},
-        "preset": {"type": "string"},
-        "algebra": {"type": "object"},
+        "preset": {"type": "string", "description": "named setup to run"},
+        "algebra": {"type": "object", "description": "JSON file with a structure-tensor payload"},
         "distribution": {"type": "object"},
-        "v": {"type": "array", "items": {"type": "number"}},
-        "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "n": {"type": "integer", "minimum": 1, "default": 1024},
-        "reps": {"type": "integer", "minimum": 1, "default": 1000},
+        "v": {"type": "array", "items": {"type": "number"},
+              "description": "comma-separated drift vector"},
+        "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
+                "description": "flip probability for r1-flip-eps"},
+        "n": {"type": "integer", "minimum": 1, "default": 1024, "description": "number of steps"},
+        "reps": {"type": "integer", "minimum": 1, "default": 1000,
+                 "description": "number of replicates"},
         "seed": {"type": "integer", "minimum": 0, "default": 0},
         "checkpoints": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                        "minItems": 1},
+                        "minItems": 1, "description": "comma-separated times, sorted "
+                        "and de-duplicated; the largest must be n"},
         "gauge": {"enum": ["bracket_hull", "scaled_euclidean"], "default": "bracket_hull"},
         "filtration": {"enum": ["auto", "standard"], "default": "auto"},
         "conjugate": {"enum": ["auto", "never"], "default": "auto"},
-        "cross_check": {"type": "boolean", "default": False},
-        "max_work": {"type": "integer", "minimum": 1},
-        "csv": {"type": "string"},
+        "cross_check": {"type": "boolean", "default": False, "description":
+                        "verify the incremental recursion against direct recentring"},
+        "max_work": {"type": "integer", "minimum": 1, "description": "ceiling on steps x reps"},
+        "csv": {"type": "string", "description": "walk CSV to read"},
         "column": {"enum": ["M", "M_scaled", "y_norm"], "default": "M_scaled"},
-        "lil_alpha": {"type": "number", "exclusiveMinimum": 0},
+        "lil_alpha": {"type": "number", "exclusiveMinimum": 0, "description":
+                      "also run the dyadic growth diagnostic at this exponent"},
         "bootstrap": {"type": "integer", "minimum": 0, "default": 1000},
-        "svg": {"type": "boolean", "default": False},
+        "svg": {"type": "boolean", "default": False, "description": "also write an SVG plot"},
     },
     "required": ["schema_version", "kind"],
     "additionalProperties": False,
@@ -96,8 +102,14 @@ def validate_config(cfg: dict) -> dict:
     unread = sorted(set(cfg) - set(MANIFEST_CONFIG_KEYS[cfg["kind"]]) - {"seed"})
     if unread:
         raise SchemaError(f"config rejected: {cfg['kind']} does not read {unread}")
-    if cfg.get("preset") and cfg["preset"] not in PRESETS[cfg["kind"]]:
-        raise SchemaError(f"unknown {cfg['kind']} preset {cfg['preset']!r}")
+    if "preset" in cfg and cfg["preset"] not in PRESETS[cfg["kind"]]:
+        raise SchemaError(f"unknown {cfg['kind']} preset {cfg['preset']!r}; "
+                          f"choose from {sorted(PRESETS[cfg['kind']])}")
+    inline = sorted({"algebra", "distribution"} & set(cfg))
+    if "preset" in cfg and inline:
+        raise SchemaError(f"config rejected: preset {cfg['preset']!r} ignores {inline}")
+    if "eps" in cfg and cfg.get("preset") != "r1-flip-eps":
+        raise SchemaError("config rejected: only preset r1-flip-eps reads eps")
     try:
         json.dumps(cfg, allow_nan=False)
     except ValueError as exc:
@@ -119,7 +131,7 @@ def _walk_setup_from_config(cfg: dict):
     if cfg.get("preset"):
         name, law = cfg["preset"], None
     elif "algebra" in cfg and "distribution" in cfg:
-        alg, _ = _load_algebra(cfg["algebra"])
+        alg, _ = _load_algebra(cfg)
         if alg.step > TABLE_CAP:
             raise SchemaError(f"walk needs an algebra of step at most {TABLE_CAP} "
                               f"(the BCH table cap), got step {alg.step}")
@@ -136,17 +148,17 @@ def _walk_setup_from_config(cfg: dict):
                             conjugate=cfg["conjugate"])
 
 
-def _load_algebra(payload: dict | None = None, preset: str | None = None):
-    """(algebra, validation report) from an algebra preset or inline payload.
+def _load_algebra(cfg: dict):
+    """(algebra, validation report) from cfg's algebra preset or inline payload.
 
     A malformed payload is a schema error (exit 2); a tensor that is not a
     nilpotent Lie bracket of the declared step fails validation (exit 4).
     """
-    if preset:
-        alg = ALGEBRA_PRESETS[preset]()
+    if "preset" in cfg:
+        alg = ALGEBRA_PRESETS[cfg["preset"]]()
     else:
         try:
-            alg = algebra_from_json(payload)
+            alg = algebra_from_json(cfg["algebra"])
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(f"bad algebra payload: {exc}") from exc
     rep = validate_algebra(alg)
@@ -182,6 +194,7 @@ def _emit(cfg: dict, out_dir: str, files: list[str], derived: dict,
 
 
 def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
+    """run a Monte Carlo walk"""
     setup = _walk_setup_from_config(cfg)
     n = cfg["n"]
     cps = tuple(cfg["checkpoints"]) if cfg.get("checkpoints") else default_checkpoints(n)
@@ -228,6 +241,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
 
 
 def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
+    """scan isometry lifts for defect ratios"""
     preset = cfg.get("preset")
     if not preset:
         raise SchemaError("split-scan needs a preset")
@@ -262,6 +276,7 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
 
 
 def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
+    """concentration fits over a walk CSV"""
     path = cfg.get("csv")
     if not path:
         raise SchemaError("fit needs --csv pointing at a walk CSV")
@@ -359,10 +374,11 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
 
 
 def cmd_algebra_check(cfg: dict, out_dir: str) -> list[str]:
-    if not cfg.get("preset") and "algebra" not in cfg:
+    """validate an algebra and its filtrations"""
+    if "preset" not in cfg and "algebra" not in cfg:
         raise SchemaError("algebra-check needs a preset or inline algebra")
-    alg, rep = _load_algebra(cfg.get("algebra"), cfg.get("preset"))
-    v = np.asarray(cfg.get("v", [0.0] * alg.dim), dtype=float)
+    alg, rep = _load_algebra(cfg)
+    v = np.asarray(cfg.get("v", [0.0] * alg.dim), float)
     if v.size != alg.dim:
         raise SchemaError(f"v has {v.size} entries, algebra dimension is {alg.dim}")
     filt = weighted_filtration(alg, v)
@@ -385,13 +401,14 @@ def cmd_algebra_check(cfg: dict, out_dir: str) -> list[str]:
 
 DISPATCH = {
     "walk": cmd_walk,
-    "split-scan": cmd_split_scan,
     "fit": cmd_fit,
+    "split-scan": cmd_split_scan,
     "algebra-check": cmd_algebra_check,
 }
 
 
 def cmd_replay(manifest_path: str, out_dir: str) -> int:
+    """rerun a manifest and verify artifacts"""
     original = _read_json_object(manifest_path, "manifest")
     expected = original.get("files") or {}
     if not isinstance(expected, dict):
@@ -414,56 +431,26 @@ def cmd_replay(manifest_path: str, out_dir: str) -> int:
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilwalk",
         description="random walks on nilpotent groups with finite twists")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("walk", help="run a Monte Carlo walk")
-    _add_common(p)
-    p.add_argument("--preset", choices=sorted(WALK_PRESETS))
-    p.add_argument("--n", type=int, help="number of steps")
-    p.add_argument("--reps", type=int, help="number of replicates")
-    p.add_argument("--eps", type=float, help="flip probability for r1-flip-eps")
-    p.add_argument("--checkpoints",
-                   help="comma-separated times, sorted and de-duplicated; the largest must be n")
-    p.add_argument("--gauge", choices=["bracket_hull", "scaled_euclidean"])
-    p.add_argument("--filtration", choices=["auto", "standard"])
-    p.add_argument("--conjugate", choices=["auto", "never"])
-    p.add_argument("--cross-check", action="store_true", default=None,
-                   dest="cross_check",
-                   help="verify the incremental recursion against direct recentring")
-    p.add_argument("--max-work", type=int, dest="max_work")
-
-    p = sub.add_parser("fit", help="concentration fits over a walk CSV")
-    _add_common(p)
-    p.add_argument("--csv", help="walk CSV to read")
-    p.add_argument("--column", choices=["M", "M_scaled", "y_norm"])
-    p.add_argument("--lil-alpha", type=float, dest="lil_alpha",
-                   help="also run the dyadic growth diagnostic at this exponent")
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--svg", action="store_true", default=None)
-
-    p = sub.add_parser("split-scan", help="scan isometry lifts for defect ratios")
-    _add_common(p)
-    p.add_argument("--preset", choices=sorted(SPLIT_PRESETS))
-    p.add_argument("--reps", type=int)
-    p.add_argument("--svg", action="store_true", default=None)
-
-    p = sub.add_parser("algebra-check", help="validate an algebra and its filtrations")
-    _add_common(p)
-    p.add_argument("--preset", choices=sorted(ALGEBRA_PRESETS))
-    p.add_argument("--algebra", help="JSON file with a structure-tensor payload")
-    p.add_argument("--v", help="comma-separated drift vector")
-
-    p = sub.add_parser("replay", help="rerun a manifest and verify artifacts")
+    for kind, command in DISPATCH.items():
+        p = sub.add_parser(kind, help=command.__doc__)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--out", default=".", help="output directory")
+        # a flag per key the kind reads; the version, kind and a walk's inline law: --config only
+        for key in dict.fromkeys(("seed",) + MANIFEST_CONFIG_KEYS[kind]):
+            if key in ("schema_version", "kind", "distribution") or \
+                    (kind, key) == ("walk", "algebra"):
+                continue
+            prop = CONFIG_SCHEMA["properties"][key]
+            values = sorted(PRESETS[kind]) if key == "preset" else prop.get("enum")
+            shape = ({"action": "store_true", "default": None} if prop.get("type") == "boolean"
+                     else {"metavar": "{%s}" % ",".join(values)} if values else {})
+            p.add_argument("--" + key.replace("_", "-"), help=prop.get("description"), **shape)
+    p = sub.add_parser("replay", help=cmd_replay.__doc__)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=".")
     return parser
@@ -481,28 +468,31 @@ def _read_json_object(path: str, what: str) -> dict:
     return doc
 
 
+def _flag_value(key: str, text):
+    """A flag's text as its schema type: a number, a comma-split list or a JSON file's object."""
+    prop = CONFIG_SCHEMA["properties"][key]
+    if prop.get("type") == "object":
+        return _read_json_object(text, f"{key} payload")
+    convert = {"integer": int, "number": float}.get(prop.get("items", prop).get("type"))
+    if convert is None:
+        return text  # a string, an enum value, or True from a store_true flag
+    try:
+        return [convert(tok) for tok in text.split(",")] if "items" in prop else convert(text)
+    except ValueError as exc:
+        raise SchemaError(f"bad --{key.replace('_', '-')} value {text!r}: {exc}") from exc
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
     cfg = _read_json_object(args.config, "config") if args.config else {}
     cfg.setdefault("schema_version", 1)
     cfg["kind"] = args.command
-    skip = {"command", "config", "out"}
     for key, val in vars(args).items():
-        if key in skip or val is None:
-            continue
-        cfg[key] = val
-    if isinstance(cfg.get("checkpoints"), str):
-        try:
-            cfg["checkpoints"] = [int(tok) for tok in cfg["checkpoints"].split(",")]
-        except ValueError as exc:
-            raise SchemaError(f"bad checkpoint list: {exc}") from exc
-    if isinstance(cfg.get("v"), str):
-        try:
-            cfg["v"] = [float(tok) for tok in cfg["v"].split(",")]
-        except ValueError as exc:
-            raise SchemaError(f"bad drift vector: {exc}") from exc
-    if isinstance(cfg.get("algebra"), str):
-        cfg["algebra"] = _read_json_object(cfg["algebra"], "algebra payload")
+        if key not in ("command", "config", "out") and val is not None:
+            cfg[key] = _flag_value(key, val)
     return cfg
+
+
+EXIT_CODES = {SchemaError: 2, ResourceCeilingError: 3, NumericalValidationError: 4, OSError: 5}
 
 
 def main(argv=None) -> int:
@@ -515,18 +505,9 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         DISPATCH[cfg["kind"]](cfg, args.out)
         return 0
-    except SchemaError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCeilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -448,6 +448,30 @@ MALFORMED = [
                                    "preset": "brownian", "n": 4, "reps": 2},
         files={"walk.csv": "0" * 64}))},
      ["replay", "--manifest", "m.json"], 2),
+    # a flag value that does not parse or is not allowed
+    ("walk-n-not-integer", {}, ["walk", "--preset", "heisenberg-srw", "--n", "abc"], 2),
+    ("walk-unknown-gauge", {}, ["walk", "--preset", "heisenberg-srw", "--gauge", "foo"], 2),
+    ("walk-unknown-preset-flag", {}, ["walk", "--preset", "nope"], 2),
+    ("walk-checkpoint-not-integer", {},
+     ["walk", "--preset", "heisenberg-srw", "--checkpoints", "4,x"], 2),
+    # a config file holds JSON types, not the text a flag would carry
+    ("walk-config-checkpoints-string", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "walk", "preset": "heisenberg-srw",
+         "n": 8, "reps": 2, "checkpoints": "4,8"})},
+     ["walk", "--config", "c.json"], 2),
+    ("algebra-check-config-algebra-path", {"a.json": json.dumps(HEIS), "c.json": json.dumps(
+        {"schema_version": 1, "kind": "algebra-check", "algebra": "a.json"})},
+     ["algebra-check", "--config", "c.json"], 2),
+    # inputs the run would not read
+    ("walk-eps-without-flip-preset", {},
+     ["walk", "--preset", "heisenberg-srw", "--n", 4, "--reps", 2, "--eps", "0.5"], 2),
+    ("algebra-check-preset-and-algebra", {"a.json": json.dumps(HEIS)},
+     ["algebra-check", "--preset", "heisenberg", "--algebra", "a.json"], 2),
+    ("walk-preset-and-inline-law", {"c.json": json.dumps(inline_walk(
+        preset="heisenberg-srw", algebra={"dim": 1, "step": 1, "brackets": []},
+        distribution={"atoms": [{"p": 1.0, "xi": [1], "kappa": 0}],
+                      "Q": {"matrices": [[[1]]]}}))},
+     ["walk", "--config", "c.json"], 2),
 ]
 
 
@@ -460,6 +484,22 @@ def test_malformed_input_exits_cleanly(tmp_path, capsys, files, argv, code):
     assert run(argv + ["--out", tmp_path / "o"]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command, listed", [
+    ("walk", ["{engel5-srw,filiform4-srw,heisenberg-drift,heisenberg-srw,r1-flip-eps,r2-c4}",
+              "{bracket_hull,scaled_euclidean}", "{auto,standard}", "{auto,never}"]),
+    ("fit", ["{M,M_scaled,y_norm}"]),
+    ("split-scan", ["{d4-r2,s3-r2}"]),
+    ("algebra-check", ["{abelian1,abelian2,engel5,filiform4,heisenberg}"]),
+])
+def test_help_lists_presets_and_enum_values(capsys, command, listed):
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for values in listed:
+        assert values in out
 
 
 def test_nearly_centred_law_gets_the_centred_filtration(tmp_path):
