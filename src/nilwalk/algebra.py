@@ -258,7 +258,7 @@ def layer_components(filt: Filtration, x: np.ndarray) -> list[np.ndarray]:
         if b.shape[0] == 0:
             out.append(np.zeros(np.shape(x)[:-1] + (0,)))
         else:
-            out.append(np.asarray(x) @ b.T)
+            out.append(np.einsum("...j,ij->...i", x, b))  # row-independent, unlike BLAS @
     return out
 
 

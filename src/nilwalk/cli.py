@@ -231,7 +231,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
     if result.cross_residual is not None:
         derived["cross_check_residual"] = result.cross_residual
     if setup.preset == "r1-flip-eps":
-        derived["stay_probability"] = stay_diagnostic(result, run, n)
+        derived["stay_probability"] = stay_diagnostic(result, run)
 
     kappa = derived["kappa_mu"]
     kappa_txt = kappa if isinstance(kappa, str) else "%.6g" % kappa
@@ -416,7 +416,11 @@ def cmd_replay(manifest_path: str, out_dir: str) -> int:
     if not expected:
         raise NumericalValidationError("manifest lists no artifacts; replay checks nothing")
     cfg = validate_config(original.get("config", {}))
-    DISPATCH[cfg["kind"]](cfg, out_dir)
+    written = DISPATCH[cfg["kind"]](cfg, out_dir)
+    unwritten = [name for name in expected if name not in written]
+    if unwritten:
+        raise NumericalValidationError(
+            f"manifest lists {', '.join(unwritten)}, which the rerun does not write")
     mismatches = []
     for name, digest in expected.items():
         fresh = sha256_file(os.path.join(out_dir, name))
@@ -485,7 +489,9 @@ def _flag_value(key: str, text):
 def _config_from_args(args: argparse.Namespace) -> dict:
     cfg = _read_json_object(args.config, "config") if args.config else {}
     cfg.setdefault("schema_version", 1)
-    cfg["kind"] = args.command
+    if cfg.setdefault("kind", args.command) != args.command:
+        raise SchemaError(f"config kind {cfg['kind']!r} does not match the "
+                          f"{args.command} command")
     for key, val in vars(args).items():
         if key not in ("command", "config", "out") and val is not None:
             cfg[key] = _flag_value(key, val)

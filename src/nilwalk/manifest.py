@@ -127,16 +127,19 @@ def attach_file_hashes(doc: dict, out_dir: str, names) -> dict:
 
 def read_csv_columns(path: str):
     """(data array, column names) from a header-commented CSV of finite numbers."""
-    names = None
+    names, has_rows = None, False
     with open(path) as fh:
         for line in fh:
-            if not line.startswith("#"):
+            if line.strip() and not line.startswith("#"):
+                has_rows = True
                 break
             text = line[1:].strip()
             if text.startswith("columns:"):
                 names = text.split(":", 1)[1].split()
     if names is None:
         raise ValueError(f"{path} has no '# columns:' header line")
+    if not has_rows:
+        raise ValueError(f"{path} has no data rows")
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(f"{path}: {data.shape[1]} columns, header names {len(names)}")

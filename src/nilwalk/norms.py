@@ -100,7 +100,7 @@ def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.n
     if norm.hull_angular[i] is not None:
         return _polygon_gauge(*norm.hull_angular[i], coords)
     a, b = facets[:, :-1], facets[:, -1]
-    ratios = coords @ a.T
+    ratios = np.einsum("...j,fj->...f", coords, a)  # row-independent, unlike BLAS @
     ratios /= b         # in place: one (rows, facets) temporary per call, not two
     return np.max(ratios, axis=-1)
 
@@ -117,8 +117,8 @@ def _polygon_gauge(angles: np.ndarray, facets: np.ndarray,
     hit = np.searchsorted(angles, np.arctan2(coords[..., 1], coords[..., 0]),
                           side="right") - 1
     near = facets[(hit[..., None] + np.arange(-1, 2)) % len(facets)]  # (..., 3, 3)
-    # contiguous (2, 3) blocks go through the same BLAS kernel as a dense
-    # coords @ a.T, so each a.x rounds as it would there
+    # contiguous (2, 3) blocks: one small matmul per row, which rounds the
+    # same however many rows the call holds
     a_t = np.ascontiguousarray(near[..., :2].swapaxes(-1, -2))
     ratios = (coords[..., None, :] @ a_t)[..., 0, :]
     ratios /= near[..., 2]

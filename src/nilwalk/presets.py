@@ -208,17 +208,17 @@ def build_split_group(preset: str):
     return factory()
 
 
-def stay_diagnostic(result: SampleMatrix, dist: StepDistribution, n: int) -> dict:
+def stay_diagnostic(result: SampleMatrix, dist: StepDistribution) -> dict:
     """Fraction of replicates that never flipped, against the exact power.
 
-    A replicate that avoided every flip atom ends with the twist at the
-    identity and the first displacement coordinate exactly n; any flip
-    makes both impossible at once, so the event is read off the final
-    state exactly.  The exact rate is p^n, p the first (stay) atom's probability.
+    A replicate that avoided every flip atom ends at the last checkpoint n with
+    the twist at the identity and the first coordinate exactly n; any flip makes
+    both impossible at once, so the event is read off the final state exactly.
+    The exact rate is p^n, p the first (stay) atom's probability.
     """
-    last = result.column(n)
+    n = result.checkpoints[-1]
     ident = int(dist.q.identity)
-    stayed = (result.q_index[:, last] == ident) & (result.final_y[:, 0] == float(n))
+    stayed = (result.q_index[:, -1] == ident) & (result.final_y[:, 0] == float(n))
     emp = float(np.mean(stayed))
     exact = float(dist.probs[0]) ** n
     half = 3.0 * float(np.sqrt(exact * (1.0 - exact) / result.replications))

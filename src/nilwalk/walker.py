@@ -11,15 +11,18 @@ product each step, the engine uses the algebraic identity
     y_n = y_{n-1} * C_{n-1}(Ad(q_{n-1}) zeta_n),      zeta = xi * (-v),
 
 where C_m is conjugation by m v.  On the Lie algebra C_m is the matrix
-exponential of ad_{m v}, a polynomial in m because ad_v is nilpotent, so
-each step costs a single BCH product.  A cross-check mode also tracks z_n
-and verifies the direct recentring at every checkpoint.
+exponential of ad_{m v}, a polynomial in m because ad_v is nilpotent.  Its
+terms applied to Ad(q) zeta depend only on the twist q and the atom, so they
+are tabulated once per walk and each step costs lookups and one BCH product.
+A cross-check mode also tracks z_n and verifies the direct recentring at
+every checkpoint.
 
 monte_carlo is the one entry point.  Replicates advance in lockstep as
 numpy batches, one fixed-size chunk of replicates at a time.  Each
 replicate draws from its own counter-based substream keyed by (seed,
-replicate), so results are bit-identical for any chunk size, and one
-replicate's atom choices can be redrawn from that substream alone.
+replicate) and every product rounds row by row (einsum, not a BLAS @), so
+results are bit-identical for any chunk size, and one replicate's atom
+choices can be redrawn from that substream alone.
 """
 
 from __future__ import annotations
@@ -79,14 +82,11 @@ class SampleMatrix:
     layer_euclid: np.ndarray       # (R, K, L) euclidean layer components of y_n
     q_index: np.ndarray            # (R, K) twist position
     final_y: np.ndarray            # (R, d)
-    cross_residual: float | None = None
+    cross_residual: float | None   # None unless the run cross-checks
 
     @property
     def replications(self) -> int:
         return self.running_max.shape[0]
-
-    def column(self, n: int) -> int:
-        return self.checkpoints.index(n)
 
 
 def recentre(dist: StepDistribution, z: np.ndarray, n: int) -> np.ndarray:
@@ -94,104 +94,88 @@ def recentre(dist: StepDistribution, z: np.ndarray, n: int) -> np.ndarray:
     return bch(dist.alg, z, -float(n) * dist.v_mu)
 
 
-def _ad_power_series(dist: StepDistribution) -> list[np.ndarray]:
-    """Matrices ad_v^k / k! for k = 0 .. step-1 (exact conjugation by m v)."""
-    alg = dist.alg
-    ad_v = alg.ad(dist.v_mu)
-    mats = [np.eye(alg.dim)]
-    for k in range(1, alg.step):
-        mats.append(mats[-1] @ ad_v / k)
-    return mats
+def _step_tables(dist: StepDistribution):
+    """Per-walk lookup tables with one row g = q * m + a per twist q and atom a.
+
+    Returns the atom sampler; walked[g] = Ad(q) zeta_a; drifts[p-1][g] =
+    ad_v^p / p! walked[g] for p = 1 .. step-1 (none for a centred law), so that
+    C_m walked[g] = walked[g] + sum_p m^p drifts[p-1][g]; raw[g] = Ad(q) xi_a,
+    the cross-check's increment; and next_q[g], the twist after the step.
+    """
+    alg, q = dist.alg, dist.q
+    drifted = np.linalg.norm(dist.v_mu) > 0
+    zetas = np.stack([bch(alg, xi, -dist.v_mu) for xi in dist.xis]) if drifted else dist.xis
+    twist = np.repeat(q.matrices, len(dist.xis), axis=0)  # (k m, d, d)
+    walked = np.einsum("rij,rj->ri", twist, np.tile(zetas, (q.order, 1)))
+    raw = np.einsum("rij,rj->ri", twist, np.tile(dist.xis, (q.order, 1)))
+    ad_v, power, drifts = alg.ad(dist.v_mu), np.eye(alg.dim), []
+    for p in range(1, alg.step if drifted else 1):
+        power = power @ ad_v / p
+        drifts.append(np.einsum("rj,ij->ri", walked, power))
+    return AliasSampler(dist.probs), walked, drifts, raw, q.table[:, dist.kappas].ravel()
 
 
-def _run_chunk(cfg: WalkConfig, rep_ids: np.ndarray) -> dict:
+def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> None:
+    """Walk replicates lo .. hi-1 and write their rows of out."""
     dist = cfg.dist
-    alg = dist.alg
-    d = alg.dim
-    r = len(rep_ids)
-    k_cp = len(cfg.checkpoints)
+    sampler, walked, drifts, raw, next_q = tables
+    m = len(dist.xis)
+    r = hi - lo
     cp_set = {n: i for i, n in enumerate(cfg.checkpoints)}
 
-    sampler = AliasSampler(dist.probs)
-    drifted = bool(np.linalg.norm(dist.v_mu) > 0)
-    zetas = np.stack([bch(alg, xi, -dist.v_mu) for xi in dist.xis]) if drifted \
-        else dist.xis
-    ad_pows = _ad_power_series(dist) if drifted else None
-    q_trivial = dist.q.order == 1
-    mats = dist.q.matrices
-    table = dist.q.table
-
-    y = np.zeros((r, d))
-    z = np.zeros((r, d)) if cfg.cross_check else None
+    y = np.zeros((r, dist.alg.dim))
+    z = np.zeros((r, dist.alg.dim))
     qidx = np.full(r, dist.q.identity, dtype=np.int64)
     run_max = np.zeros(r)
 
-    out_max = np.zeros((r, k_cp))
-    out_norm = np.zeros((r, k_cp))
-    out_layers = np.zeros((r, k_cp, len(cfg.norm.filtration.layers)))
-    out_q = np.zeros((r, k_cp), dtype=np.int64)
-    cross_resid = 0.0
-
-    gens = [substream(cfg.seed, STREAM_WALK, int(rep)) for rep in rep_ids]
+    gens = [substream(cfg.seed, STREAM_WALK, rep) for rep in range(lo, hi)]
     step = 0
     while step < cfg.n_steps:
         block = min(RNG_BLOCK_STEPS, cfg.n_steps - step)
         u = np.stack([g.random((block, 2)) for g in gens])  # (r, block, 2)
         for j in range(block):
             n = step + j + 1
-            aidx = sampler.sample(u[:, j, :])
-            zeta = zetas[aidx]                       # (r, d)
-            if not q_trivial:
-                inc = np.einsum("rij,rj->ri", mats[qidx], zeta)
-            else:
-                inc = zeta
-            if drifted:
-                m = float(n - 1)
-                conj = inc.copy()
-                scale = 1.0
-                for p in range(1, len(ad_pows)):
-                    scale *= m
-                    conj += scale * (inc @ ad_pows[p].T)
-                inc = conj
-            y = bch(alg, y, inc)
+            g = qidx * m + sampler.sample(u[:, j, :])
+            # take gathers rows several times faster than walked[g]
+            inc = walked.take(g, axis=0)
+            scale = 1.0
+            for drift in drifts:
+                scale *= n - 1
+                inc = inc + scale * drift.take(g, axis=0)
+            y = bch(dist.alg, y, inc)
             if cfg.cross_check:
-                raw = dist.xis[aidx]
-                zinc = raw if q_trivial else np.einsum("rij,rj->ri", mats[qidx], raw)
-                z = bch(alg, z, zinc)
-            if not q_trivial:
-                qidx = table[qidx, dist.kappas[aidx]]
+                z = bch(dist.alg, z, raw.take(g, axis=0))
+            qidx = next_q[g]
             val = hom_norm(cfg.norm, y)
             run_max = np.maximum(run_max, val)
             if n in cp_set:
                 col = cp_set[n]
-                out_max[:, col] = run_max
-                out_norm[:, col] = val
-                comps = layer_components(cfg.norm.filtration, y)
-                for li, c in enumerate(comps):
-                    out_layers[:, col, li] = np.linalg.norm(c, axis=-1) if c.shape[-1] else 0.0
-                out_q[:, col] = qidx
+                out.running_max[lo:hi, col] = run_max
+                out.y_norm[lo:hi, col] = val
+                for li, c in enumerate(layer_components(cfg.norm.filtration, y)):
+                    out.layer_euclid[lo:hi, col, li] = np.linalg.norm(c, axis=-1)
+                out.q_index[lo:hi, col] = qidx
                 if cfg.cross_check:
                     direct = recentre(dist, z, n)
-                    cross_resid = max(cross_resid,
-                                      float(np.max(np.abs(direct - y))))
+                    out.cross_residual = max(out.cross_residual,
+                                             float(np.max(np.abs(direct - y))))
         step += block
-
-    return {"max": out_max, "norm": out_norm, "layers": out_layers,
-            "q": out_q, "final_y": y,
-            "cross": cross_resid if cfg.cross_check else None}
+    out.final_y[lo:hi] = y
 
 
 def monte_carlo(cfg: WalkConfig) -> SampleMatrix:
     """Run all replicates, REPLICATE_CHUNK at a time; byte-stable for any chunk size."""
-    results = [_run_chunk(cfg, np.arange(lo, min(lo + REPLICATE_CHUNK, cfg.replications)))
-               for lo in range(0, cfg.replications, REPLICATE_CHUNK)]
-    return SampleMatrix(
+    r, k = cfg.replications, len(cfg.checkpoints)
+    out = SampleMatrix(
         checkpoints=cfg.checkpoints,
-        running_max=np.concatenate([res["max"] for res in results]),
-        y_norm=np.concatenate([res["norm"] for res in results]),
-        layer_euclid=np.concatenate([res["layers"] for res in results]),
-        q_index=np.concatenate([res["q"] for res in results]),
-        final_y=np.concatenate([np.atleast_2d(res["final_y"]) for res in results]),
-        cross_residual=(max(res["cross"] for res in results)
-                        if cfg.cross_check else None),
+        running_max=np.zeros((r, k)),
+        y_norm=np.zeros((r, k)),
+        layer_euclid=np.zeros((r, k, len(cfg.norm.filtration.layers))),
+        q_index=np.zeros((r, k), dtype=np.int64),
+        final_y=np.zeros((r, cfg.dist.alg.dim)),
+        cross_residual=0.0 if cfg.cross_check else None,
     )
+    tables = _step_tables(cfg.dist)
+    for lo in range(0, r, REPLICATE_CHUNK):
+        _run_chunk(cfg, tables, out, lo, min(lo + REPLICATE_CHUNK, r))
+    return out

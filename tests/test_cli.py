@@ -1,6 +1,7 @@
 import copy
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,16 @@ def test_fit_pipeline_over_walk_csv(tmp_path):
     assert man["inputs"]["walk.csv"] == sha256_file(str(wout / "walk.csv"))
 
 
+def test_fit_refuses_header_only_csv_without_a_warning(tmp_path, capsys):
+    csv_path = tmp_path / "w.csv"
+    csv_path.write_text("# nilwalk-walk-csv 1\n" + WALK_CSV_COLUMNS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", "--csv", csv_path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "has no data rows" in err[0]
+
+
 def test_fit_missing_csv_is_io_error(tmp_path):
     assert run(["fit", "--csv", tmp_path / "nope.csv",
                 "--out", tmp_path / "o"]) == 5
@@ -267,6 +278,22 @@ def test_replay_split_scan(tmp_path):
                 "--out", src]) == 0
     assert run(["replay", "--manifest", src / "manifest.json",
                 "--out", tmp_path / "again"]) == 0
+
+
+@pytest.mark.parametrize("name", ["../c.json", "ghost.csv"])
+def test_replay_refuses_a_file_the_rerun_does_not_write(tmp_path, capsys, name):
+    """A listed file outside what the rerun writes is a mismatch (4), whether
+    it exists with a matching hash (../c.json) or not at all (ghost.csv)."""
+    src = tmp_path / "src"
+    assert run(["split-scan", "--preset", "d4-r2", "--reps", 16, "--out", src]) == 0
+    (tmp_path / "c.json").write_text("{}")
+    man = read_json(src / "manifest.json")
+    man["files"][name] = sha256_file(str(tmp_path / "c.json"))
+    (src / "manifest.json").write_text(json.dumps(man))
+    capsys.readouterr()
+    assert run(["replay", "--manifest", src / "manifest.json", "--out", tmp_path / "again"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
 
 
 HEIS = {"dim": 3, "step": 2, "brackets": [[1, 2, [[3, 1.0]]]]}
@@ -467,6 +494,9 @@ MALFORMED = [
      ["walk", "--preset", "heisenberg-srw", "--n", 4, "--reps", 2, "--eps", "0.5"], 2),
     ("algebra-check-preset-and-algebra", {"a.json": json.dumps(HEIS)},
      ["algebra-check", "--preset", "heisenberg", "--algebra", "a.json"], 2),
+    ("walk-config-kind-split-scan", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "split-scan", "reps": 8})},
+     ["walk", "--config", "c.json", "--preset", "heisenberg-srw", "--n", 4], 2),
     ("walk-preset-and-inline-law", {"c.json": json.dumps(inline_walk(
         preset="heisenberg-srw", algebra={"dim": 1, "step": 1, "brackets": []},
         distribution={"atoms": [{"p": 1.0, "xi": [1], "kappa": 0}],

@@ -111,7 +111,7 @@ def test_stay_diagnostic_matches_exact_power():
     cfg = WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=n,
                      checkpoints=(n,), replications=4000, seed=0)
     res = monte_carlo(cfg)
-    diag = stay_diagnostic(res, setup.dist, n=n)
+    diag = stay_diagnostic(res, setup.dist)
     assert diag["exact"] == pytest.approx((1 - eps) ** n)
     assert diag["within_band"]
     # the stay event is read from the exact final state, so the empirical
