@@ -277,8 +277,9 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
     """Algebra from a sparse 1-based bracket table [[i, j, [[k, c], ...]], ...].
 
     Raises ValueError on unknown keys, a dim or step that is not an
-    integer >= 1, an index outside 1..dim, a bracket of e_i with itself, a
-    pair (i, j) given twice in either order, or labels that are not a list
+    integer >= 1, an index outside 1..dim, a coefficient that is not a JSON
+    number (booleans and strings are refused), a bracket of e_i with itself,
+    a pair (i, j) given twice in either order, or labels that are not a list
     of dim strings; ResourceCeilingError on a dim above MAX_DIM, before the
     dim^3 tensor is allocated.
     """
@@ -305,6 +306,8 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
             raise ValueError(f"bracket of e{i} and e{j} given twice")
         pairs.add(pair)
         for k, c in coeffs:
+            if type(c) not in (int, float):
+                raise ValueError(f"bracket coefficient {c!r} is not a number in {entry}")
             tensor[i - 1, j - 1, k - 1] = float(c)
             tensor[j - 1, i - 1, k - 1] = -float(c)
     return NilpotentAlgebra(dim=dim, step=step, tensor=tensor, labels=tuple(labels))

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from .algebra import algebra_from_json, validate_algebra, weighted_filtration
@@ -93,12 +93,51 @@ MANIFEST_CONFIG_KEYS = {
 }
 
 
+# The Python types each JSON type name accepts; a flag's text converts to the
+# last.  A bool is a JSON boolean only: never an integer or a number.
+JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+              "integer": (int,), "number": (int, float)}
+# Each bound keyword: the test a value must pass against it, and its wording.
+BOUNDS = {"minimum": (operator.ge, "at least"), "exclusiveMinimum": (operator.gt, "above"),
+          "exclusiveMaximum": (operator.lt, "below")}
+
+
+def _check(value, schema: dict, where: str) -> None:
+    """Raise SchemaError at the first keyword of schema that value breaks.
+
+    Covers the keywords CONFIG_SCHEMA uses.  const and enum compare the
+    type as well as the value, so 1.0 is not schema version 1.
+    """
+    def fail(why):
+        raise SchemaError(f"config rejected: {where} {why}")
+    kind = schema.get("type")
+    if kind and (not isinstance(value, JSON_TYPES[kind])
+                 or isinstance(value, bool) != (kind == "boolean")):
+        fail(f"must be a JSON {kind}, got {value!r}")
+    allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if allowed is not None and not any(type(value) is type(a) and value == a for a in allowed):
+        fail(f"must be one of {allowed}, got {value!r}")
+    for key, (ok, word) in BOUNDS.items():
+        if key in schema and not ok(value, schema[key]):
+            fail(f"must be {word} {schema[key]}, got {value!r}")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        fail(f"needs at least {schema['minItems']} items")
+    for i, item in enumerate(value if "items" in schema else ()):
+        _check(item, schema["items"], f"{where}[{i}]")
+    props = schema.get("properties", {})
+    missing = [key for key in schema.get("required", ()) if key not in value]
+    unknown = [key for key in value if key not in props] \
+        if schema.get("additionalProperties") is False else []
+    if missing or unknown:
+        fail(f"lacks {missing}" if missing else f"has unknown keys {unknown}")
+    for key in props:
+        if key in value:
+            _check(value[key], props[key], key)
+
+
 def validate_config(cfg: dict) -> dict:
     """cfg checked against the schema, its kind's keys and presets, with DEFAULTS filled in."""
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.exceptions.ValidationError as exc:
-        raise SchemaError(f"config rejected: {exc.message}") from exc
+    _check(cfg, CONFIG_SCHEMA, "config")
     unread = sorted(set(cfg) - set(MANIFEST_CONFIG_KEYS[cfg["kind"]]) - {"seed"})
     if unread:
         raise SchemaError(f"config rejected: {cfg['kind']} does not read {unread}")
@@ -477,9 +516,10 @@ def _flag_value(key: str, text):
     prop = CONFIG_SCHEMA["properties"][key]
     if prop.get("type") == "object":
         return _read_json_object(text, f"{key} payload")
-    convert = {"integer": int, "number": float}.get(prop.get("items", prop).get("type"))
-    if convert is None:
+    kind = prop.get("items", prop).get("type")
+    if kind not in ("integer", "number"):
         return text  # a string, an enum value, or True from a store_true flag
+    convert = JSON_TYPES[kind][-1]
     try:
         return [convert(tok) for tok in text.split(",")] if "items" in prop else convert(text)
     except ValueError as exc:

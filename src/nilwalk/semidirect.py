@@ -216,8 +216,10 @@ def abelianized_mean(dist: StepDistribution) -> np.ndarray:
 def distribution_from_json(alg: NilpotentAlgebra, data: dict) -> StepDistribution:
     """Step law from {"atoms": [{"p", "xi", "kappa"}, ...], "Q": {"matrices"}}.
 
-    Raises ValueError on unknown keys, twist matrices that are not
-    dim x dim, an xi without dim entries, or a kappa that is not an integer.
+    Raises ValueError on unknown keys, a p, xi entry or twist-matrix entry
+    that is not a JSON number (booleans and strings are refused), twist
+    matrices that are not dim x dim, an xi without dim entries, or a kappa
+    that is not an integer.
     """
     atoms = data["atoms"]
     for obj, keys in [(data, {"atoms", "Q"}), (data["Q"], {"matrices"})] + \
@@ -225,6 +227,10 @@ def distribution_from_json(alg: NilpotentAlgebra, data: dict) -> StepDistributio
         unknown = set(obj) - keys
         if unknown:
             raise ValueError(f"unknown distribution keys {sorted(unknown)}")
+    entries = [a["p"] for a in atoms] + [x for a in atoms for x in a["xi"]] + \
+        [x for m in data["Q"]["matrices"] for row in m for x in row]
+    if not all(type(x) in (int, float) for x in entries):
+        raise ValueError("each p, xi entry and twist-matrix entry must be a number")
     mats = np.asarray(data["Q"]["matrices"], dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (alg.dim, alg.dim):
         raise ValueError(f"twist matrices must be {alg.dim} x {alg.dim}")

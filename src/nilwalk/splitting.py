@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .rng import STREAM_SCAN, substream
 from .semidirect import FiniteActionGroup
@@ -89,6 +88,8 @@ def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
     With M_f = A_f - I and u_f in its range, Fix(f) is at distance
     |P_f x + M_f^+ u_f| from x, P_f the projector onto the row space of M_f.
     """
+    # imported on first call, so importing the CLI loads no scipy submodule
+    from scipy.linalg import block_diag
     mats = group.matrices
     k, d = mats.shape[0], mats.shape[1]
     proj, rows, rhs = [], [], []

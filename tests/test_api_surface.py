@@ -7,11 +7,19 @@ live outside the package: the acceptance criteria and the benchmark shim.
 Every dataclass field must be read as an attribute somewhere in
 src/nilwalk; KEEP_FIELDS lists the fields only a message or a test reads.
 The number of settable values is held at or below SETTABLE_CEILING.
+The third-party modules the package imports are exactly its declared
+runtime dependencies, and importing the CLI loads no scipy submodule.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import NamedTuple
+
+import pytest
 
 import nilwalk
 
@@ -21,6 +29,7 @@ KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
 KEEP_FIELDS = {"QValidation.orthogonality_residual", "QValidation.automorphism_residual",
                "ConcentrationFit.tail_t", "ConcentrationFit.tail_p"}
 SETTABLE_CEILING = 31
+RUNTIME_DEPENDENCIES = {"numpy", "scipy"}
 
 
 class Definition(NamedTuple):
@@ -138,3 +147,33 @@ def test_settable_values_stay_at_or_below_ceiling():
         f"{count} defaulted parameters and dataclass fields in src/nilwalk, "
         f"ceiling {SETTABLE_CEILING}: give a new setting a caller that sets it, "
         "or make it a constant")
+
+
+def third_party_imports():
+    """Top-level names of the modules outside the standard library that src/nilwalk imports."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_imports_are_the_declared_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~;\[ ]", dep)[0] for dep in project["dependencies"]}
+    assert third_party_imports() == declared == RUNTIME_DEPENDENCIES
+
+
+def test_cli_import_loads_no_schema_library_or_scipy_submodule():
+    """scipy submodules are imported inside the functions that call them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, nilwalk.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    heavy = {"jsonschema", "scipy.stats", "scipy.special", "scipy.linalg"}
+    assert not heavy & set(loaded)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilwalk import walker
 from nilwalk.cli import default_checkpoints, main, validate_config
 from nilwalk.errors import SchemaError
 from nilwalk.manifest import read_csv_columns, sha256_file
@@ -69,10 +70,10 @@ def test_walk_writes_artifacts_with_matching_hashes(tmp_path):
     assert np.array_equal(col["M_scaled"], col["M"] / col["n"] ** exponent)
 
 
-def test_walk_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_walk_byte_identical_across_chunk_sizes(tmp_path, monkeypatch):
     outs = []
-    for env, sub in (("1", "a"), ("6", "b")):
-        monkeypatch.setenv("NILWALK_THREADS", env)
+    for chunk, sub in ((walker.REPLICATE_CHUNK, "a"), (7, "b")):
+        monkeypatch.setattr(walker, "REPLICATE_CHUNK", chunk)
         out = tmp_path / sub
         assert run(["walk", "--preset", "r2-c4", "--n", 32, "--reps", 600,
                     "--out", out]) == 0
@@ -497,6 +498,30 @@ MALFORMED = [
     ("walk-config-kind-split-scan", {"c.json": json.dumps(
         {"schema_version": 1, "kind": "split-scan", "reps": 8})},
      ["walk", "--config", "c.json", "--preset", "heisenberg-srw", "--n", 4], 2),
+    # an integer setting given as an integral float
+    ("walk-config-n-float", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "walk", "preset": "heisenberg-srw", "n": 8.0, "reps": 2})},
+     ["walk", "--config", "c.json"], 2),
+    ("split-scan-config-seed-float", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "split-scan", "preset": "d4-r2", "reps": 8, "seed": 0.0})},
+     ["split-scan", "--config", "c.json"], 2),
+    ("config-schema-version-float", {"c.json": json.dumps(
+        {"schema_version": 1.0, "kind": "split-scan", "preset": "d4-r2", "reps": 8})},
+     ["split-scan", "--config", "c.json"], 2),
+    # a boolean where an inline payload needs a number
+    ("walk-probability-bool", {"c.json": json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], atoms=[{"p": True, "xi": [1, 0, 0], "kappa": 1}])))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-xi-entry-bool", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(xi=[True, 0, 0])))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-twist-entry-bool", {"c.json": json.dumps(inline_walk(
+        distribution=dict(INLINE_WALK["distribution"],
+                          Q={"matrices": [[[True, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                          C2["matrices"][1]]})))},
+     ["walk", "--config", "c.json"], 2),
+    ("algebra-coefficient-bool", {"a.json": json.dumps(dict(HEIS, brackets=[[1, 2, [[3, True]]]]))},
+     ["algebra-check", "--algebra", "a.json"], 2),
     ("walk-preset-and-inline-law", {"c.json": json.dumps(inline_walk(
         preset="heisenberg-srw", algebra={"dim": 1, "step": 1, "brackets": []},
         distribution={"atoms": [{"p": 1.0, "xi": [1], "kappa": 0}],
@@ -601,7 +626,7 @@ def _paths(node, prefix=()):
 INLINE_PATHS = list(_paths(INLINE_WALK))
 # (kind, value): "set" covers wrong types and out-of-range numbers
 MUTATIONS = [("drop", None), ("ragged", None)] + [
-    ("set", v) for v in (None, "x", True, 1.5, [], {}, [[1]], -1, 0, 7,
+    ("set", v) for v in (None, "x", True, 1.5, 2.0, [], {}, [[1]], -1, 0, 7,
                          float("nan"), float("inf"))]
 
 

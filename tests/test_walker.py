@@ -199,17 +199,6 @@ def test_seed_reproducibility():
     assert not np.array_equal(a.final_y, other.final_y)
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    setup = build_walk_setup("heisenberg-srw")
-    cfg = small_cfg(setup, 16, 1100, seed=1)   # three replicate chunks
-    monkeypatch.setenv("NILWALK_THREADS", "1")
-    serial = monte_carlo(cfg)
-    monkeypatch.setenv("NILWALK_THREADS", "7")
-    threaded = monte_carlo(cfg)
-    for name in ("running_max", "y_norm", "layer_euclid", "q_index", "final_y"):
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
-
-
 def drifted_random_engel5():
     """Seeded random atoms with drift on the free step-3 algebra: inexact arithmetic."""
     rng = np.random.default_rng(8)
