@@ -38,15 +38,39 @@ from .stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
                     render_tail_svg, tail_curve)
 from .walker import WalkConfig, monte_carlo
 
+INDEX = {"type": "integer", "minimum": 1}
+NUMBER = {"type": "number"}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
         "schema_version": {"const": 1},
         "kind": {"enum": ["algebra-check", "walk", "fit", "split-scan"]},
         "preset": {"type": "string", "description": "named setup to run"},
-        "algebra": {"type": "object", "description": "JSON file with a structure-tensor payload"},
-        "distribution": {"type": "object"},
-        "v": {"type": "array", "items": {"type": "number"},
+        "algebra": {
+            "type": "object", "description": "JSON file with a structure-tensor payload",
+            "required": ["dim", "step"], "additionalProperties": False,
+            "properties": {
+                "dim": INDEX, "step": INDEX,
+                "labels": {"type": "array", "items": {"type": "string"}},
+                # [i, j, [[k, c], ...]]: [e_i, e_j] = sum of c e_k
+                "brackets": {"type": "array", "items": {
+                    "type": "array", "minItems": 3, "maxItems": 3, "prefixItems": [
+                        INDEX, INDEX, {"type": "array", "items": {
+                            "type": "array", "minItems": 2, "maxItems": 2,
+                            "prefixItems": [INDEX, NUMBER]}}]}}}},
+        "distribution": {
+            "type": "object", "required": ["atoms", "Q"], "additionalProperties": False,
+            "properties": {
+                "atoms": {"type": "array", "items": {
+                    "type": "object", "required": ["p", "xi", "kappa"],
+                    "additionalProperties": False,
+                    "properties": {"p": NUMBER, "xi": {"type": "array", "items": NUMBER},
+                                   "kappa": {"type": "integer", "minimum": 0}}}},
+                "Q": {"type": "object", "required": ["matrices"], "additionalProperties": False,
+                      "properties": {"matrices": {"type": "array", "items": {
+                          "type": "array", "items": {"type": "array", "items": NUMBER}}}}}}},
+        "v": {"type": "array", "items": NUMBER,
               "description": "comma-separated drift vector"},
         "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
                 "description": "flip probability for r1-flip-eps"},
@@ -54,7 +78,7 @@ CONFIG_SCHEMA = {
         "reps": {"type": "integer", "minimum": 1, "default": 1000,
                  "description": "number of replicates"},
         "seed": {"type": "integer", "minimum": 0, "default": 0},
-        "checkpoints": {"type": "array", "items": {"type": "integer", "minimum": 1},
+        "checkpoints": {"type": "array", "items": INDEX,
                         "minItems": 1, "description": "comma-separated times, sorted "
                         "and de-duplicated; the largest must be n"},
         "gauge": {"enum": ["bracket_hull", "scaled_euclidean"], "default": "bracket_hull"},
@@ -105,8 +129,10 @@ BOUNDS = {"minimum": (operator.ge, "at least"), "exclusiveMinimum": (operator.gt
 def _check(value, schema: dict, where: str) -> None:
     """Raise SchemaError at the first keyword of schema that value breaks.
 
-    Covers the keywords CONFIG_SCHEMA uses.  const and enum compare the
-    type as well as the value, so 1.0 is not schema version 1.
+    Covers the keywords CONFIG_SCHEMA uses, each with its JSON Schema
+    2020-12 meaning, except that const and enum compare the type as well
+    as the value, so 1.0 is not schema version 1, and a number must be
+    finite, as JSON has no NaN or infinity.
     """
     def fail(why):
         raise SchemaError(f"config rejected: {where} {why}")
@@ -114,6 +140,9 @@ def _check(value, schema: dict, where: str) -> None:
     if kind and (not isinstance(value, JSON_TYPES[kind])
                  or isinstance(value, bool) != (kind == "boolean")):
         fail(f"must be a JSON {kind}, got {value!r}")
+    # NaN, the infinities and integers past the largest double all fail
+    if kind == "number" and not abs(value) <= sys.float_info.max:
+        fail(f"must be a finite number, got {value!r}")
     allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
     if allowed is not None and not any(type(value) is type(a) and value == a for a in allowed):
         fail(f"must be one of {allowed}, got {value!r}")
@@ -122,8 +151,11 @@ def _check(value, schema: dict, where: str) -> None:
             fail(f"must be {word} {schema[key]}, got {value!r}")
     if "minItems" in schema and len(value) < schema["minItems"]:
         fail(f"needs at least {schema['minItems']} items")
-    for i, item in enumerate(value if "items" in schema else ()):
-        _check(item, schema["items"], f"{where}[{i}]")
+    if "maxItems" in schema and len(value) > schema["maxItems"]:
+        fail(f"needs at most {schema['maxItems']} items")
+    prefix = schema.get("prefixItems", [])
+    for i, item in enumerate(value if "items" in schema or prefix else ()):
+        _check(item, prefix[i] if i < len(prefix) else schema.get("items", {}), f"{where}[{i}]")
     props = schema.get("properties", {})
     missing = [key for key in schema.get("required", ()) if key not in value]
     unknown = [key for key in value if key not in props] \
@@ -132,7 +164,7 @@ def _check(value, schema: dict, where: str) -> None:
         fail(f"lacks {missing}" if missing else f"has unknown keys {unknown}")
     for key in props:
         if key in value:
-            _check(value[key], props[key], key)
+            _check(value[key], props[key], f"{where}.{key}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -149,10 +181,6 @@ def validate_config(cfg: dict) -> dict:
         raise SchemaError(f"config rejected: preset {cfg['preset']!r} ignores {inline}")
     if "eps" in cfg and cfg.get("preset") != "r1-flip-eps":
         raise SchemaError("config rejected: only preset r1-flip-eps reads eps")
-    try:
-        json.dumps(cfg, allow_nan=False)
-    except ValueError as exc:
-        raise SchemaError("config rejected: a number is NaN or infinite") from exc
     out = dict(DEFAULTS)
     out.update(cfg)
     return out
@@ -176,7 +204,7 @@ def _walk_setup_from_config(cfg: dict):
                               f"(the BCH table cap), got step {alg.step}")
         try:
             law = distribution_from_json(alg, cfg["distribution"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"bad distribution payload: {exc}") from exc
         name = "custom"
     else:
@@ -198,7 +226,7 @@ def _load_algebra(cfg: dict):
     else:
         try:
             alg = algebra_from_json(cfg["algebra"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"bad algebra payload: {exc}") from exc
     rep = validate_algebra(alg)
     if not rep.ok:

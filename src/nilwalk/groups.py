@@ -45,23 +45,6 @@ def cayley_from_matrices(mats: np.ndarray):
     return table, identity, inverse
 
 
-def generated_subgroup(table: np.ndarray, identity: int, generators) -> list[int]:
-    """Indices of the subgroup generated by the given element indices."""
-    seen = {int(identity)}
-    frontier = [int(identity)]
-    gens = sorted({int(g) for g in generators})
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = int(table[a, g])
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return sorted(seen)
-
-
 def _rot(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])

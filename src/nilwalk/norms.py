@@ -173,7 +173,7 @@ def _sample_ball(rng, norm: HomogeneousNorm, count: int, upto_weight: int,
 
 
 def bilinearity_constant(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int = 10_000, seed: int = 0) -> float:
+                         n_pairs: int, seed: int = 0) -> float:
     """Sampled sup of phi([u, v]) over unit-ball pairs.
 
     A lower estimate of the true constant: sampling can only miss the sup.
@@ -187,7 +187,7 @@ def bilinearity_constant(norm: HomogeneousNorm, alg: NilpotentAlgebra,
 
 
 def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int = 10_000, seed: int = 0):
+                         n_pairs: int, seed: int = 0):
     """max |u * v| - |u| - |v| over pairs sampled in the euclidean box [-1, 1]^d.
 
     Returns (defect, (u, v)) with the maximizing pair; a positive defect

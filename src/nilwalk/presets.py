@@ -32,7 +32,7 @@ def heisenberg_algebra() -> NilpotentAlgebra:
     return NilpotentAlgebra(dim=3, step=2, tensor=c)
 
 
-def filiform_algebra(dim: int = 4) -> NilpotentAlgebra:
+def filiform_algebra(dim: int) -> NilpotentAlgebra:
     """Maximal-step chain algebra: [e1, e_i] = e_{i+1} for 2 <= i < dim."""
     if dim < 3:
         raise ValueError("filiform needs dimension at least 3")

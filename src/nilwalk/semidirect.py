@@ -58,7 +58,7 @@ class QValidation:
     ok: bool
     orthogonality_residual: float
     automorphism_residual: float
-    messages: tuple[str, ...] = ()
+    messages: tuple[str, ...]
 
 
 def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> QValidation:
@@ -170,16 +170,12 @@ def invariant_split(alg: NilpotentAlgebra, q: FiniteActionGroup,
                     support) -> tuple[np.ndarray, np.ndarray]:
     """Split the abelianized layer into fixed vectors and their complement.
 
-    Fixed means fixed by every element of the subgroup generated by the
-    support indices.  Bases are orthonormal rows in ambient coordinates.
+    Fixed means fixed by every support element, and so by every element
+    of the subgroup they generate.  Bases are orthonormal rows in ambient
+    coordinates.
     """
     m1 = _abelianized_layer(alg)
-    sub = groups.generated_subgroup(q.table, q.identity, support)
-    blocks = []
-    for h in sub:
-        if h == q.identity:
-            continue
-        blocks.append(m1 @ (q.matrices[h] - np.eye(alg.dim)).T)
+    blocks = [m1 @ (q.matrices[h] - np.eye(alg.dim)).T for h in support if h != q.identity]
     if not blocks:
         return m1, np.zeros((0, alg.dim))
     stacked = np.concatenate(blocks, axis=1)  # rows follow the m1 basis
@@ -216,28 +212,18 @@ def abelianized_mean(dist: StepDistribution) -> np.ndarray:
 def distribution_from_json(alg: NilpotentAlgebra, data: dict) -> StepDistribution:
     """Step law from {"atoms": [{"p", "xi", "kappa"}, ...], "Q": {"matrices"}}.
 
-    Raises ValueError on unknown keys, a p, xi entry or twist-matrix entry
-    that is not a JSON number (booleans and strings are refused), twist
-    matrices that are not dim x dim, an xi without dim entries, or a kappa
-    that is not an integer.
+    data is a payload already checked against the config schema's
+    distribution declaration, so its keys and JSON types hold.  Raises
+    ValueError on twist matrices that are ragged or not dim x dim, or an xi
+    without dim entries; StepDistribution and finite_group raise it on a
+    law or a matrix list that is not valid.
     """
     atoms = data["atoms"]
-    for obj, keys in [(data, {"atoms", "Q"}), (data["Q"], {"matrices"})] + \
-            [(a, {"p", "xi", "kappa"}) for a in atoms]:
-        unknown = set(obj) - keys
-        if unknown:
-            raise ValueError(f"unknown distribution keys {sorted(unknown)}")
-    entries = [a["p"] for a in atoms] + [x for a in atoms for x in a["xi"]] + \
-        [x for m in data["Q"]["matrices"] for row in m for x in row]
-    if not all(type(x) in (int, float) for x in entries):
-        raise ValueError("each p, xi entry and twist-matrix entry must be a number")
     mats = np.asarray(data["Q"]["matrices"], dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (alg.dim, alg.dim):
         raise ValueError(f"twist matrices must be {alg.dim} x {alg.dim}")
     if any(len(a["xi"]) != alg.dim for a in atoms):
         raise ValueError(f"each xi must have {alg.dim} entries")
-    if any(type(a["kappa"]) is not int for a in atoms):
-        raise ValueError("each kappa must be an integer")
     probs = np.array([a["p"] for a in atoms], dtype=float)
     xis = np.array([a["xi"] for a in atoms], dtype=float)
     kappas = np.array([a["kappa"] for a in atoms], dtype=np.int64)

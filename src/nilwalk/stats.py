@@ -55,7 +55,7 @@ class ConcentrationFit:
     family_norms: tuple[float, ...]   # sup over n of ||f_n||_p, per order
     tail_t: tuple[float, ...]
     tail_p: tuple[float, ...]
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
 
 
 def _family_norms(groups: list[np.ndarray]) -> np.ndarray:
@@ -213,10 +213,10 @@ def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> LilReport:
 # plain SVG rendering (no plotting dependency, fully deterministic)
 
 def render_tail_svg(t: np.ndarray, p_hat: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray, fitted=None, title: str = "tail curve") -> str:
+                    hi: np.ndarray, fitted, title: str) -> str:
     """Static log-log tail plot as an SVG string.
 
-    fitted, if given, is (c1, c2, alpha) for the curve c2 exp(-c1 t^alpha).
+    fitted is None or (c1, c2, alpha) for the curve c2 exp(-c1 t^alpha).
     """
     w, h, m = 640, 420, 56
     t = np.asarray(t, dtype=float)
@@ -273,8 +273,7 @@ def render_tail_svg(t: np.ndarray, p_hat: np.ndarray, lo: np.ndarray,
 
 
 def render_histogram_svg(counts: np.ndarray, edges: np.ndarray,
-                         title: str = "histogram",
-                         mark: float | None = None) -> str:
+                         title: str, mark: float | None) -> str:
     """Bar-chart SVG for precomputed histogram counts; mark draws a vertical line."""
     w, h, m = 640, 420, 56
     counts = np.asarray(counts, dtype=float)

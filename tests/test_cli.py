@@ -1,15 +1,15 @@
+import ast
 import copy
+import inspect
+import itertools
 import json
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nilwalk import walker
-from nilwalk.cli import default_checkpoints, main, validate_config
+from nilwalk.cli import BOUNDS, CONFIG_SCHEMA, _check, default_checkpoints, main, validate_config
 from nilwalk.errors import SchemaError
 from nilwalk.manifest import read_csv_columns, sha256_file
 from nilwalk.semidirect import finite_group
@@ -140,6 +140,18 @@ def test_flip_walk_reports_stay_probability(tmp_path):
     assert stay["exact"] == pytest.approx(0.95 ** 32)
     assert man["derived"]["kappa_mu"] == pytest.approx(0.1)
     assert man["derived"]["conjugated"] is True
+
+
+def test_walk_cross_check_records_its_residual(tmp_path):
+    args = ["walk", "--preset", "heisenberg-drift", "--n", 64, "--reps", 32]
+    assert run(args + ["--cross-check", "--out", tmp_path / "c"]) == 0
+    man = read_json(tmp_path / "c" / "manifest.json")
+    assert man["config"]["cross_check"] is True
+    assert 0.0 <= man["derived"]["cross_check_residual"] <= 1e-9
+    assert run(["replay", "--manifest", tmp_path / "c" / "manifest.json",
+                "--out", tmp_path / "again"]) == 0
+    assert run(args + ["--out", tmp_path / "plain"]) == 0
+    assert "cross_check_residual" not in read_json(tmp_path / "plain" / "manifest.json")["derived"]
 
 
 def test_fit_pipeline_over_walk_csv(tmp_path):
@@ -522,6 +534,19 @@ MALFORMED = [
      ["walk", "--config", "c.json"], 2),
     ("algebra-coefficient-bool", {"a.json": json.dumps(dict(HEIS, brackets=[[1, 2, [[3, True]]]]))},
      ["algebra-check", "--algebra", "a.json"], 2),
+    # an integer too large for a double where the payload needs a number
+    ("algebra-coefficient-beyond-double", {"a.json": json.dumps(dict(
+        HEIS, brackets=[[1, 2, [[3, 10 ** 400]]]]))},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("walk-xi-entry-beyond-double", {"c.json": json.dumps(inline_walk(
+        distribution=dist_with(xi=[10 ** 400, 0, 0])))},
+     ["walk", "--config", "c.json"], 2),
+    # an object where the payload needs a list
+    ("algebra-brackets-object", {"a.json": json.dumps({"dim": 2, "step": 1, "brackets": {}})},
+     ["algebra-check", "--algebra", "a.json"], 2),
+    ("algebra-coefficients-object", {"a.json": json.dumps(
+        {"dim": 3, "step": 1, "brackets": [[1, 2, {}]]})},
+     ["algebra-check", "--algebra", "a.json"], 2),
     ("walk-preset-and-inline-law", {"c.json": json.dumps(inline_walk(
         preset="heisenberg-srw", algebra={"dim": 1, "step": 1, "brackets": []},
         distribution={"atoms": [{"p": 1.0, "xi": [1], "kappa": 0}],
@@ -649,13 +674,34 @@ def _mutate(doc, path, kind, value):
     return doc
 
 
-@given(path=st.sampled_from(INLINE_PATHS), mutation=st.sampled_from(MUTATIONS))
-@settings(max_examples=80, deadline=None)
-def test_inline_walk_mutations_keep_exit_code_contract(path, mutation):
-    """One structural change to a valid inline walk never ends in a traceback."""
-    doc = _mutate(INLINE_WALK, path, *mutation)
-    with tempfile.TemporaryDirectory() as tmp:
-        cfgp = Path(tmp) / "c.json"
-        cfgp.write_text(json.dumps(doc))
-        code = run(["walk", "--config", cfgp, "--out", Path(tmp) / "o"])
-    assert code in {0, 2, 3, 4, 5}
+def test_inline_walk_mutations_keep_exit_code_contract(tmp_path):
+    """No single structural change to a valid inline walk ends in a traceback."""
+    failed = []
+    for path, mutation in itertools.product(INLINE_PATHS, MUTATIONS):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(_mutate(INLINE_WALK, path, *mutation)))
+        try:
+            code = run(["walk", "--config", cfgp, "--out", tmp_path / "o"])
+        except Exception as exc:  # a traceback: named below with the pair
+            code = repr(exc)
+        if code not in {0, 2, 3, 4, 5}:
+            failed.append(f"{path} {mutation}: {code}")
+    assert not failed, f"{len(failed)} mutations break the exit-code contract: {failed}"
+
+
+def _keywords(schema):
+    """Every keyword in schema and in the subschemas it holds."""
+    yield from schema
+    subs = list(schema.get("properties", {}).values()) + schema.get("prefixItems", []) + \
+        ([schema["items"]] if "items" in schema else [])
+    for sub in subs:
+        yield from _keywords(sub)
+
+
+def test_config_schema_uses_only_keywords_the_checker_reads():
+    """_check skips a keyword it does not read, so such a keyword would check nothing."""
+    read = {node.value for node in ast.walk(ast.parse(inspect.getsource(_check)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    known = read | set(BOUNDS) | {"default", "description"}
+    unread = set(_keywords(CONFIG_SCHEMA)) - known
+    assert not unread, f"CONFIG_SCHEMA uses keywords _check does not implement: {unread}"

@@ -57,11 +57,14 @@ def test_heisenberg_flip_is_automorphism():
 
 
 def test_invariant_split_c4_plane():
-    alg = abelian_algebra(2)
-    q = c4_group()
-    v_b, w_b = invariant_split(alg, q, support=[1])
-    assert v_b.shape[0] == 0        # no vector survives a quarter turn
-    assert w_b.shape[0] == 2
+    """No vector of the (e1, e2) plane survives a quarter turn; on R^3, e3 does."""
+    for dim in (2, 3):
+        mats = np.tile(np.eye(dim), (4, 1, 1))
+        mats[:, :2, :2] = groups.cyclic_rotations(4)
+        v_b, w_b = invariant_split(abelian_algebra(dim), finite_group(mats), support=[1])
+        assert v_b.shape[0] == dim - 2
+        assert w_b.shape[0] == 2
+        assert np.allclose(np.abs(v_b), np.eye(dim)[2:])
 
 
 def test_invariant_split_trivial_support():
