@@ -10,7 +10,7 @@ singular value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,6 @@ def orthonormal_basis(vectors: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 
 def subspace_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 0:
-        return orthonormal_basis(b) if b.shape[0] else b
-    if b.shape[0] == 0:
-        return orthonormal_basis(a)
     return orthonormal_basis(np.vstack([a, b]))
 
 
@@ -78,21 +74,17 @@ class NilpotentAlgebra:
     dim: dimension d of the underlying space
     step: declared nilpotency step (validated against the computed one)
     tensor: (d, d, d) array, [e_i, e_j] = sum_k tensor[i, j, k] e_k
-    labels: basis labels, for messages and serialization
     """
 
     dim: int
     step: int
     tensor: np.ndarray
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.tensor, dtype=float))
         if t.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"tensor shape {t.shape} does not match dim {self.dim}")
         object.__setattr__(self, "tensor", t)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"e{i+1}" for i in range(self.dim)))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[x, y] for single vectors or batches with shape (..., d)."""
@@ -184,7 +176,6 @@ class Filtration:
     """A descending filtration with an orthogonal layer decomposition.
 
     kind: "lower_central" or "weighted"
-    v: the direction vector for weighted filtrations (zero for lower_central)
     ideals: ideals F^(1) >= F^(2) >= ... >= F^(depth+1) = 0 as row bases
     layers: layers[i] spans the orthocomplement of F^(i+2) inside F^(i+1),
             i.e. the weight-(i+1) layer; entries may have zero rows
@@ -192,7 +183,6 @@ class Filtration:
     """
 
     kind: str
-    v: np.ndarray
     ideals: tuple[np.ndarray, ...]
     layers: tuple[np.ndarray, ...]
     depth: int
@@ -205,7 +195,7 @@ class Filtration:
         return tuple(b.shape[0] for b in self.layers)
 
 
-def _filtration_from_ideals(kind: str, v: np.ndarray, ideals: list[np.ndarray]) -> Filtration:
+def _filtration_from_ideals(kind: str, ideals: list[np.ndarray]) -> Filtration:
     # ideals[0] = F^(1); append trailing zero ideal if missing
     if ideals[-1].shape[0] != 0:
         raise ValueError("filtration did not terminate at zero")
@@ -214,13 +204,12 @@ def _filtration_from_ideals(kind: str, v: np.ndarray, ideals: list[np.ndarray]) 
     for i in range(depth):
         nxt = ideals[i + 1] if i + 1 < len(ideals) else np.zeros((0, ideals[0].shape[1]))
         layers.append(complement_within(nxt, ideals[i]))
-    return Filtration(kind=kind, v=np.asarray(v, dtype=float),
-                      ideals=tuple(ideals), layers=tuple(layers), depth=depth)
+    return Filtration(kind=kind, ideals=tuple(ideals), layers=tuple(layers), depth=depth)
 
 
 def lower_central_filtration(alg: NilpotentAlgebra) -> Filtration:
     series = lower_central_series(alg)
-    return _filtration_from_ideals("lower_central", np.zeros(alg.dim), series)
+    return _filtration_from_ideals("lower_central", series)
 
 
 def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
@@ -237,7 +226,7 @@ def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
     full = np.eye(alg.dim)
     if np.linalg.norm(v) == 0.0:
         f = lower_central_filtration(alg)
-        return Filtration(kind="weighted", v=v, ideals=f.ideals, layers=f.layers, depth=f.depth)
+        return Filtration(kind="weighted", ideals=f.ideals, layers=f.layers, depth=f.depth)
     vrow = v[None, :] / np.linalg.norm(v)
     ideals = [full, full]  # F^(0), F^(1)
     for i in range(1, 2 * alg.step + 2):
@@ -248,7 +237,7 @@ def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
             break
     else:
         raise ValueError("weighted filtration did not terminate")
-    return _filtration_from_ideals("weighted", v, ideals[1:])
+    return _filtration_from_ideals("weighted", ideals[1:])
 
 
 def layer_components(filt: Filtration, x: np.ndarray) -> list[np.ndarray]:
@@ -271,15 +260,15 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
     data is a payload already checked against the config schema's algebra
     declaration, so its keys, JSON types and lower bounds hold.  Raises
     ValueError on an index above dim, a bracket of e_i with itself, a pair
-    (i, j) given twice in either order, or labels that are not dim long;
-    ResourceCeilingError on a dim above MAX_DIM, before the dim^3 tensor is
-    allocated.
+    (i, j) given twice in either order, or labels that are not dim long
+    (labels are checked, as the manifest records the payload, but not
+    kept); ResourceCeilingError on a dim above MAX_DIM, before the dim^3
+    tensor is allocated.
     """
     dim, step = data["dim"], data["step"]
     if dim > MAX_DIM:
         raise ResourceCeilingError(f"algebra dim {dim} exceeds the ceiling {MAX_DIM}")
-    labels = data.get("labels", [])
-    if "labels" in data and len(labels) != dim:
+    if "labels" in data and len(data["labels"]) != dim:
         raise ValueError(f"labels must be a list of {dim} strings")
     tensor = np.zeros((dim, dim, dim))
     pairs = set()
@@ -296,4 +285,4 @@ def algebra_from_json(data: dict) -> NilpotentAlgebra:
         for k, c in coeffs:
             tensor[i - 1, j - 1, k - 1] = float(c)
             tensor[j - 1, i - 1, k - 1] = -float(c)
-    return NilpotentAlgebra(dim=dim, step=step, tensor=tensor, labels=tuple(labels))
+    return NilpotentAlgebra(dim=dim, step=step, tensor=tensor)

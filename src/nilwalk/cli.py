@@ -30,8 +30,8 @@ from .errors import NumericalValidationError, ResourceCeilingError, SchemaError
 from .manifest import (MANIFEST_SCHEMA_VERSION, attach_file_hashes, gauge_hash,
                        read_csv_columns, sha256_file, write_csv, write_manifest,
                        write_scan_csv, write_walk_csv)
-from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS,
-                      build_split_group, build_walk_setup, stay_diagnostic)
+from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS, build_walk_setup,
+                      stay_diagnostic)
 from .semidirect import abelianized_mean, distribution_from_json
 from .splitting import delta_ratio_scan
 from .stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
@@ -62,13 +62,13 @@ CONFIG_SCHEMA = {
         "distribution": {
             "type": "object", "required": ["atoms", "Q"], "additionalProperties": False,
             "properties": {
-                "atoms": {"type": "array", "items": {
+                "atoms": {"type": "array", "minItems": 1, "items": {
                     "type": "object", "required": ["p", "xi", "kappa"],
                     "additionalProperties": False,
                     "properties": {"p": NUMBER, "xi": {"type": "array", "items": NUMBER},
                                    "kappa": {"type": "integer", "minimum": 0}}}},
                 "Q": {"type": "object", "required": ["matrices"], "additionalProperties": False,
-                      "properties": {"matrices": {"type": "array", "items": {
+                      "properties": {"matrices": {"type": "array", "minItems": 1, "items": {
                           "type": "array", "items": {"type": "array", "items": NUMBER}}}}}}},
         "v": {"type": "array", "items": NUMBER,
               "description": "comma-separated drift vector"},
@@ -236,7 +236,7 @@ def _load_algebra(cfg: dict):
 
 
 def _emit(cfg: dict, out_dir: str, files: list[str], derived: dict,
-          summary: str, documents: dict | None = None, **extra) -> list[str]:
+          summary: str, documents: dict, **extra) -> list[str]:
     """Write the JSON documents and manifest.json, then report every artifact.
 
     documents maps artifact names to JSON bodies written here with sorted
@@ -245,7 +245,7 @@ def _emit(cfg: dict, out_dir: str, files: list[str], derived: dict,
     the seed, the derived values, any extra top-level fields and a sha256
     per artifact.  Returns files plus the manifest.
     """
-    for name, body in (documents or {}).items():
+    for name, body in documents.items():
         write_manifest(os.path.join(out_dir, name), body)
     config = {k: cfg[k] for k in MANIFEST_CONFIG_KEYS[cfg["kind"]]
               if k in cfg and cfg[k] is not None}
@@ -304,7 +304,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
     kappa_txt = kappa if isinstance(kappa, str) else "%.6g" % kappa
     return _emit(dict(cfg, checkpoints=list(wcfg.checkpoints)), out_dir, ["walk.csv"], derived,
                  f"walk: {result.replications} replicates, n={n}, "
-                 f"kappa_mu={kappa_txt}, conjugated={setup.conjugated}")
+                 f"kappa_mu={kappa_txt}, conjugated={setup.conjugated}", {})
 
 
 def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
@@ -312,7 +312,7 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
     preset = cfg.get("preset")
     if not preset:
         raise SchemaError("split-scan needs a preset")
-    group = build_split_group(preset)
+    group = SPLIT_PRESETS[preset][0]()
     scan = delta_ratio_scan(group, cfg["reps"], cfg["seed"])
 
     write_scan_csv(os.path.join(out_dir, "scan.csv"), scan, preset,

@@ -68,11 +68,6 @@ def dihedral(order_of_rotation: int) -> np.ndarray:
     return np.stack(rots + refls)
 
 
-def symmetric3_planar() -> np.ndarray:
-    """S_3 in its faithful planar representation (same matrices as D_3)."""
-    return dihedral(3)
-
-
 def sign_flip_line() -> np.ndarray:
     """Z/2 = {1, -1} acting on R^1."""
     return np.array([[[1.0]], [[-1.0]]])

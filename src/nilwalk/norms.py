@@ -156,8 +156,7 @@ def _sample_ball(rng, norm: HomogeneousNorm, count: int, upto_weight: int,
                  on_sphere: bool = False) -> np.ndarray:
     """Points of the unit ball of the partial gauge using layers <= upto_weight."""
     filt = norm.filtration
-    d = filt.v.shape[0] if filt.v.ndim else filt.layers[0].shape[1]
-    out = np.zeros((count, d))
+    out = np.zeros((count, filt.layers[0].shape[1]))
     for i in range(upto_weight):
         basis = filt.layers[i]
         k = basis.shape[0]
@@ -173,7 +172,7 @@ def _sample_ball(rng, norm: HomogeneousNorm, count: int, upto_weight: int,
 
 
 def bilinearity_constant(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int, seed: int = 0) -> float:
+                         n_pairs: int, seed: int) -> float:
     """Sampled sup of phi([u, v]) over unit-ball pairs.
 
     A lower estimate of the true constant: sampling can only miss the sup.
@@ -187,7 +186,7 @@ def bilinearity_constant(norm: HomogeneousNorm, alg: NilpotentAlgebra,
 
 
 def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int, seed: int = 0):
+                         n_pairs: int, seed: int):
     """max |u * v| - |u| - |v| over pairs sampled in the euclidean box [-1, 1]^d.
 
     Returns (defect, (u, v)) with the maximizing pair; a positive defect
@@ -239,8 +238,7 @@ def _hull_layer(vertices: np.ndarray):
     return vertices[np.sort(hull.vertices)], facets, angular
 
 
-def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str,
-                seed: int = 0,
+def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
                 calibration_pairs: int = DEFAULT_CALIBRATION_PAIRS,
                 hull_samples: int = DEFAULT_HULL_SAMPLES) -> HomogeneousNorm:
     """Construct a homogeneous gauge over the filtration's layers."""

@@ -5,7 +5,9 @@ and finite twist group.  build_walk_setup applies one policy for the
 filtration and gauge to a preset's law or to an explicit one.  Derived
 data (drift, spectral constant, centering element) comes from the step
 law itself; the builder only decides whether to conjugate and which
-filtration the norm lives on.
+filtration the norm lives on.  It takes every setting as a required
+argument: their defaults and allowed values live in the CLI's
+CONFIG_SCHEMA, which checks them before a run.
 """
 
 from __future__ import annotations
@@ -111,8 +113,6 @@ def _walk_r2_c4(eps):
 def _walk_r1_flip_eps(eps):
     if eps is None:
         eps = 0.01
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly between 0 and 1")
     return StepDistribution(alg=abelian_algebra(1), q=finite_group(groups.sign_flip_line()),
                             probs=np.array([1.0 - eps, eps]),
                             xis=np.array([[1.0], [0.0]]),
@@ -140,23 +140,24 @@ ALGEBRA_PRESETS = {
 SPLIT_PRESETS = {
     "d4-r2": (lambda: finite_group(groups.dihedral(4)),
               "dihedral group of order 8 acting on the plane"),
-    "s3-r2": (lambda: finite_group(groups.symmetric3_planar()),
+    # S_3 in its faithful planar representation, the matrices of D_3
+    "s3-r2": (lambda: finite_group(groups.dihedral(3)),
               "triangle symmetries (order 6) acting on the plane"),
 }
 
 
-def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
-                     eps: float | None = None, seed: int = 0,
-                     gauge_mode: str = "bracket_hull",
-                     filtration_choice: str = "auto",
-                     conjugate: str = "auto") -> WalkSetup:
+def build_walk_setup(preset: str, law: StepDistribution | None, eps: float | None,
+                     seed: int, gauge_mode: str, filtration_choice: str,
+                     conjugate: str) -> WalkSetup:
     """Assemble the distribution, filtration, and gauge for a walk.
 
     The law is the walk preset's, or `law` when given (then `preset` only
-    names the run).  filtration_choice "auto" adapts the filtration to the
-    invariant drift (degenerating to the lower central series for centred
-    laws, |v_mu| <= CENTERING_TOL); "standard" forces the lower central series.  conjugate "auto"
-    applies the centering conjugation whenever the law calls for one.
+    names the run); eps reaches the preset's factory.  filtration_choice
+    "standard" forces the lower central series, and any other choice adapts
+    the filtration to the invariant drift (degenerating to the lower
+    central series for centred laws, |v_mu| <= CENTERING_TOL).  conjugate
+    "auto" applies the centering conjugation whenever the law calls for
+    one, and any other choice never does.
     """
     base = WALK_PRESETS[preset](eps) if law is None else law
     alg = base.alg
@@ -167,8 +168,6 @@ def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
     notes = []
     dist = base
     conjugated = False
-    if conjugate not in ("auto", "never"):
-        raise ValueError("conjugate must be 'auto' or 'never'")
     if conjugate == "auto" and float(np.linalg.norm(base.centering)) > CENTERING_TOL:
         dist = conjugate_distribution(base)
         conjugated = True
@@ -177,14 +176,12 @@ def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
     # one threshold decides whether the law is centred, for the filtration,
     # the notes and the displacement scale alike
     drifted = float(np.linalg.norm(dist.v_mu)) > CENTERING_TOL
-    if filtration_choice == "auto":
+    if filtration_choice == "standard":
+        filt = lower_central_filtration(alg)
+    else:
         filt = weighted_filtration(alg, dist.v_mu if drifted else np.zeros(alg.dim))
         if not drifted:
             notes.append("centred law: adapted filtration equals the lower central series")
-    elif filtration_choice == "standard":
-        filt = lower_central_filtration(alg)
-    else:
-        raise ValueError("filtration must be 'auto' or 'standard'")
 
     if drifted and filt.kind == "lower_central":
         s = alg.step
@@ -201,11 +198,6 @@ def build_walk_setup(preset: str, law: StepDistribution | None = None, *,
     return WalkSetup(preset=preset, base_dist=base, dist=dist, norm=norm,
                      conjugated=conjugated, scaling_exponent=exponent,
                      notes=tuple(notes))
-
-
-def build_split_group(preset: str):
-    factory, _ = SPLIT_PRESETS[preset]
-    return factory()
 
 
 def stay_diagnostic(result: SampleMatrix, dist: StepDistribution) -> dict:

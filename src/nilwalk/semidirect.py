@@ -42,9 +42,6 @@ class FiniteActionGroup:
     def order(self) -> int:
         return self.matrices.shape[0]
 
-    def ad(self, kappa: int) -> np.ndarray:
-        return self.matrices[kappa]
-
 
 def finite_group(mats: np.ndarray) -> FiniteActionGroup:
     mats = np.asarray(mats, dtype=float)
@@ -194,7 +191,7 @@ def conjugate_distribution(dist: StepDistribution,
     """Law of (−y, id) (xi, k) (y, id): atoms become (−y) * xi * Ad(k) y."""
     y = dist.centering if y is None else np.asarray(y, dtype=float)
     new_xis = np.stack([
-        bch(dist.alg, bch(dist.alg, -y, xi), dist.q.ad(int(k)) @ y)
+        bch(dist.alg, bch(dist.alg, -y, xi), dist.q.matrices[k] @ y)
         for xi, k in zip(dist.xis, dist.kappas)
     ])
     return StepDistribution(alg=dist.alg, q=dist.q, probs=dist.probs,

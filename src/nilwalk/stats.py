@@ -25,7 +25,8 @@ from .rng import STREAM_BOOTSTRAP, substream
 MOMENT_ORDERS = (2, 4, 8, 16)
 TAIL_WINDOW = (1e-4, 0.2)
 BOUNDED_SUPPORT_ALPHA = 5.0
-N_BOOTSTRAP = 1000
+# width, height and margin of every SVG plot
+SVG_FRAME = (640, 420, 56)
 
 
 def tail_curve(samples: np.ndarray, thresholds: np.ndarray):
@@ -61,7 +62,7 @@ class ConcentrationFit:
 def _family_norms(groups: list[np.ndarray]) -> np.ndarray:
     out = []
     for p in MOMENT_ORDERS:
-        vals = [float(np.mean(np.abs(g) ** p) ** (1.0 / p)) for g in groups]
+        vals = [float(np.mean(g ** p) ** (1.0 / p)) for g in groups]
         out.append(max(vals))
     return np.array(out)
 
@@ -70,13 +71,12 @@ def _sup_tail(groups: list[np.ndarray], t: np.ndarray) -> np.ndarray:
     """Family exceedance sup_n P(|f_n| >= t), evaluated on a grid."""
     p = np.zeros_like(t)
     for g in groups:
-        x = np.abs(g)
-        p = np.maximum(p, (x[None, :] >= t[:, None]).mean(axis=1))
+        p = np.maximum(p, (g[None, :] >= t[:, None]).mean(axis=1))
     return p
 
 
 def _tail_grid(groups: list[np.ndarray]) -> np.ndarray:
-    pooled = np.sort(np.abs(np.concatenate(groups)))
+    pooled = np.sort(np.concatenate(groups))
     n = pooled.size
     lo_p = max(TAIL_WINDOW[0], 2.0 / n)
     probs = np.geomspace(TAIL_WINDOW[1], lo_p, 25)
@@ -85,6 +85,9 @@ def _tail_grid(groups: list[np.ndarray]) -> np.ndarray:
 
 
 def _fit_alpha_once(groups, t_grid):
+    """One fit over groups of absolute values: both exponents, the moment
+    constant, the family exceedance on t_grid, its usable window and the
+    family norms."""
     fam = _family_norms(groups)
     lp = np.log(np.asarray(MOMENT_ORDERS, dtype=float))
     slope, intercept = np.polyfit(lp, np.log(fam), 1)
@@ -99,17 +102,17 @@ def _fit_alpha_once(groups, t_grid):
         alpha_t, icpt_t = np.polyfit(x, yv, 1)
     else:
         alpha_t, icpt_t = np.nan, np.nan
-    return alpha_m, c_m, alpha_t, p_hat, mask
+    return alpha_m, c_m, alpha_t, p_hat, mask, fam
 
 
-def fit_alpha(samples_by_n: dict[int, np.ndarray],
-              n_bootstrap: int = N_BOOTSTRAP, seed: int = 0) -> ConcentrationFit:
+def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
+              seed: int) -> ConcentrationFit:
     """Joint concentration-exponent fit for a family of sample groups.
 
     The moment route regresses the family norm sup_n ||f_n||_p on p over
     MOMENT_ORDERS; the tail route regresses the double log of the family
     exceedance on log t inside TAIL_WINDOW.  Confidence intervals are
-    percentile bootstrap.
+    percentile bootstrap over n_bootstrap resamples drawn from seed.
     """
     groups = [np.abs(np.asarray(v, dtype=float).ravel()) for v in samples_by_n.values()]
     if not groups:
@@ -118,7 +121,7 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray],
     if all(float(np.std(g)) < 1e-15 for g in groups):
         flags.append("degenerate-samples")
     t_grid = _tail_grid(groups)
-    alpha_m, c_m, alpha_t, p_hat, mask = _fit_alpha_once(groups, t_grid)
+    alpha_m, c_m, alpha_t, p_hat, mask, fam = _fit_alpha_once(groups, t_grid)
     if mask.sum() < 3:
         flags.append("tail-window-too-narrow")
 
@@ -126,7 +129,7 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray],
     boots_m, boots_t = [], []
     for _ in range(n_bootstrap):
         res = [g[rng.integers(0, g.size, g.size)] for g in groups]
-        am, _, at, _, _ = _fit_alpha_once(res, t_grid)
+        am, _, at, _, _, _ = _fit_alpha_once(res, t_grid)
         boots_m.append(am)
         if np.isfinite(at):
             boots_t.append(at)
@@ -149,7 +152,7 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray],
         alpha_tail=float(alpha_t), alpha_tail_ci=ci_t,
         c_moment=c_m, c1=c1, c2=c2,
         moment_orders=MOMENT_ORDERS,
-        family_norms=tuple(_family_norms(groups)),
+        family_norms=tuple(fam),
         tail_t=tuple(float(t) for t in t_grid[mask]),
         tail_p=tuple(float(p) for p in p_hat[mask]),
         flags=tuple(flags),
@@ -212,13 +215,25 @@ def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> LilReport:
 # ---------------------------------------------------------------------------
 # plain SVG rendering (no plotting dependency, fully deterministic)
 
+def _svg_frame(title: str) -> list[str]:
+    """The opening tag, white background, title and both axes of a plot."""
+    w, h, m = SVG_FRAME
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+            f'viewBox="0 0 {w} {h}">',
+            f'<rect width="{w}" height="{h}" fill="white"/>',
+            f'<text x="{w/2:.1f}" y="24" text-anchor="middle" '
+            f'font-family="monospace" font-size="14">{title}</text>',
+            f'<line x1="{m}" y1="{h-m}" x2="{w-m}" y2="{h-m}" stroke="black"/>',
+            f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h-m}" stroke="black"/>']
+
+
 def render_tail_svg(t: np.ndarray, p_hat: np.ndarray, lo: np.ndarray,
                     hi: np.ndarray, fitted, title: str) -> str:
     """Static log-log tail plot as an SVG string.
 
     fitted is None or (c1, c2, alpha) for the curve c2 exp(-c1 t^alpha).
     """
-    w, h, m = 640, 420, 56
+    w, h, m = SVG_FRAME
     t = np.asarray(t, dtype=float)
     p = np.asarray(p_hat, dtype=float)
     keep = (t > 0) & (p > 0)
@@ -242,13 +257,7 @@ def render_tail_svg(t: np.ndarray, p_hat: np.ndarray, lo: np.ndarray,
     def sy(v):
         return h - m - (v - ylo) / (y1 - ylo) * (h - 2 * m)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-             f'viewBox="0 0 {w} {h}">',
-             f'<rect width="{w}" height="{h}" fill="white"/>',
-             f'<text x="{w/2:.1f}" y="24" text-anchor="middle" '
-             f'font-family="monospace" font-size="14">{title}</text>',
-             f'<line x1="{m}" y1="{h-m}" x2="{w-m}" y2="{h-m}" stroke="black"/>',
-             f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h-m}" stroke="black"/>']
+    parts = _svg_frame(title)
     for xv, pl, ph in zip(lx, np.log10(lo), np.log10(hi)):
         parts.append(f'<line x1="{sx(xv):.2f}" y1="{sy(pl):.2f}" '
                      f'x2="{sx(xv):.2f}" y2="{sy(ph):.2f}" stroke="#999"/>')
@@ -275,7 +284,7 @@ def render_tail_svg(t: np.ndarray, p_hat: np.ndarray, lo: np.ndarray,
 def render_histogram_svg(counts: np.ndarray, edges: np.ndarray,
                          title: str, mark: float | None) -> str:
     """Bar-chart SVG for precomputed histogram counts; mark draws a vertical line."""
-    w, h, m = 640, 420, 56
+    w, h, m = SVG_FRAME
     counts = np.asarray(counts, dtype=float)
     edges = np.asarray(edges, dtype=float)
     peak = max(float(counts.max()), 1.0)
@@ -286,13 +295,7 @@ def render_histogram_svg(counts: np.ndarray, edges: np.ndarray,
     def sx(v):
         return m + (v - x0) / (x1 - x0) * (w - 2 * m)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-             f'viewBox="0 0 {w} {h}">',
-             f'<rect width="{w}" height="{h}" fill="white"/>',
-             f'<text x="{w/2:.1f}" y="24" text-anchor="middle" '
-             f'font-family="monospace" font-size="14">{title}</text>',
-             f'<line x1="{m}" y1="{h-m}" x2="{w-m}" y2="{h-m}" stroke="black"/>',
-             f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h-m}" stroke="black"/>']
+    parts = _svg_frame(title)
     for c, e0, e1 in zip(counts, edges[:-1], edges[1:]):
         bh = (h - 2 * m) * c / peak
         parts.append(f'<rect x="{sx(e0):.2f}" y="{h-m-bh:.2f}" '

@@ -56,7 +56,7 @@ class WalkConfig:
     checkpoints: tuple[int, ...]
     replications: int
     seed: int
-    cross_check: bool = False
+    cross_check: bool
     max_work: int = DEFAULT_MAX_WORK
 
     def __post_init__(self):

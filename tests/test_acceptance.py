@@ -24,9 +24,8 @@ from nilwalk.bch import bch
 from nilwalk.cli import default_checkpoints, main
 from nilwalk.norms import (bilinearity_constant, build_gauge, default_kappas,
                            dilate, hom_norm, subadditivity_defect)
-from nilwalk.presets import (ALGEBRA_PRESETS, abelian_algebra,
-                             build_split_group, build_walk_setup,
-                             filiform_algebra, heisenberg_algebra)
+from nilwalk.presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, abelian_algebra,
+                             build_walk_setup, filiform_algebra, heisenberg_algebra)
 from nilwalk.semidirect import (StepDistribution, abelianized_mean,
                                 conjugate_distribution, finite_group)
 from nilwalk.splitting import Lift, big_delta, delta, delta_ratio_scan
@@ -35,6 +34,7 @@ from nilwalk.walker import WalkConfig, monte_carlo
 
 from oracles import (filiform_rep, heisenberg_rep, nilpotent_expm,
                      nilpotent_logm, rep_coordinates, rep_matrix)
+from schema_defaults import with_defaults
 
 MOMENT_ORDERS = (2, 4, 8, 16)
 
@@ -156,8 +156,10 @@ def test_criterion_03_gauge_guarantees():
         filt = lower_central_filtration(alg)
         norm = build_gauge(alg, filt, mode="bracket_hull", seed=0)
         assert norm.kappa == default_kappas(filt.depth)
-        worst_bil = max(worst_bil, bilinearity_constant(norm, alg, n_pairs=10_000))
-        worst_sub = max(worst_sub, subadditivity_defect(norm, alg, n_pairs=10_000)[0])
+        worst_bil = max(worst_bil, with_defaults(bilinearity_constant, norm, alg,
+                                                 n_pairs=10_000))
+        worst_sub = max(worst_sub, with_defaults(subadditivity_defect, norm, alg,
+                                                 n_pairs=10_000)[0])
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, alg.dim))
         base = hom_norm(norm, x)
@@ -172,15 +174,15 @@ def test_criterion_03_gauge_guarantees():
 
 def test_criterion_04_centred_concentration():
     start = time.monotonic()
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     ns = (256, 1024, 4096)
-    cfg = WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=ns[-1],
-                     checkpoints=ns, replications=10_000, seed=0)
+    cfg = with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=ns[-1],
+                        checkpoints=ns, replications=10_000, seed=0)
     res = monte_carlo(cfg)
     cells = moment_cells(res.running_max, ns, 0.5, per_sqrt_p=True)
     flat = float(cells.max() / cells.min())
-    fit = fit_alpha({n: res.running_max[:, j] / np.sqrt(n)
-                     for j, n in enumerate(ns)}, n_bootstrap=0)
+    fit = with_defaults(fit_alpha, {n: res.running_max[:, j] / np.sqrt(n)
+                                    for j, n in enumerate(ns)}, n_bootstrap=0)
     elapsed = time.monotonic() - start
     ok = flat <= 2.0 and 1.5 <= fit.alpha_tail <= 2.6 and elapsed < 300.0
     verdict(4, ok, f"moment flatness {flat:.3f} <= 2, alpha_tail "
@@ -191,14 +193,14 @@ def test_criterion_05_drift_scaling():
     ns = tuple(2 ** j for j in range(8, 14))
     reps = 10_000
 
-    drift_std = build_walk_setup("heisenberg-drift", filtration_choice="standard")
-    res_d = monte_carlo(WalkConfig(dist=drift_std.dist, norm=drift_std.norm,
-                                   n_steps=ns[-1], checkpoints=ns,
-                                   replications=reps, seed=0))
-    srw = build_walk_setup("heisenberg-srw")
-    res_s = monte_carlo(WalkConfig(dist=srw.dist, norm=srw.norm,
-                                   n_steps=ns[-1], checkpoints=ns,
-                                   replications=reps, seed=0))
+    drift_std = with_defaults(build_walk_setup, "heisenberg-drift", filtration_choice="standard")
+    res_d = monte_carlo(with_defaults(WalkConfig, dist=drift_std.dist, norm=drift_std.norm,
+                                      n_steps=ns[-1], checkpoints=ns,
+                                      replications=reps, seed=0))
+    srw = with_defaults(build_walk_setup, "heisenberg-srw")
+    res_s = monte_carlo(with_defaults(WalkConfig, dist=srw.dist, norm=srw.norm,
+                                      n_steps=ns[-1], checkpoints=ns,
+                                      replications=reps, seed=0))
 
     # the bracket direction e3 is layer 2 of the lower central series
     med_d = np.median(res_d.layer_euclid[:, :, 1], axis=0)
@@ -214,11 +216,11 @@ def test_criterion_05_drift_scaling():
     assert drift_std.scaling_exponent == pytest.approx(0.75)
 
     # the adapted gauge restores the full sqrt-n subgaussian reading
-    adapted = build_walk_setup("heisenberg-drift")
+    adapted = with_defaults(build_walk_setup, "heisenberg-drift")
     ns_a = (256, 1024, 4096)
-    res_a = monte_carlo(WalkConfig(dist=adapted.dist, norm=adapted.norm,
-                                   n_steps=ns_a[-1], checkpoints=ns_a,
-                                   replications=10_000, seed=0))
+    res_a = monte_carlo(with_defaults(WalkConfig, dist=adapted.dist, norm=adapted.norm,
+                                      n_steps=ns_a[-1], checkpoints=ns_a,
+                                      replications=10_000, seed=0))
     cells_a = moment_cells(res_a.running_max, ns_a, 0.5, per_sqrt_p=True)
     flat_a = float(cells_a.max() / cells_a.min())
 
@@ -261,11 +263,11 @@ def test_criterion_07_essential_average():
 
 
 def test_criterion_08_azuma_baseline():
-    norm = build_gauge(abelian_algebra(1), lower_central_filtration(abelian_algebra(1)),
-                       mode="scaled_euclidean")
+    norm = with_defaults(build_gauge, abelian_algebra(1),
+                         lower_central_filtration(abelian_algebra(1)), mode="scaled_euclidean")
     n, reps = 10_000, 10_000
-    cfg = WalkConfig(dist=pm_one_line(), norm=norm, n_steps=n,
-                     checkpoints=(n,), replications=reps, seed=0)
+    cfg = with_defaults(WalkConfig, dist=pm_one_line(), norm=norm, n_steps=n,
+                        checkpoints=(n,), replications=reps, seed=0)
     w = monte_carlo(cfg).final_y[:, 0]
     pieces, ok = [], True
     for t in (1.0, 2.0, 3.0):
@@ -289,8 +291,9 @@ def test_criterion_09_splitting_functionals():
     trans[1] = [1.0, 0.0]
     worked = big_delta(Lift(c4, trans))
 
-    scan1 = delta_ratio_scan(build_split_group("d4-r2"), 10_000, seed=1)
-    scan2 = delta_ratio_scan(build_split_group("d4-r2"), 10_000, seed=2)
+    d4_r2 = SPLIT_PRESETS["d4-r2"][0]()
+    scan1 = delta_ratio_scan(d4_r2, 10_000, seed=1)
+    scan2 = delta_ratio_scan(d4_r2, 10_000, seed=2)
     agree = abs(scan1.c_hat - scan2.c_hat) <= 0.2 * max(scan1.c_hat, scan2.c_hat)
 
     ok = (d_sec <= 1e-10 and b_sec <= 1e-10 and worked >= 2.0 - 1e-9
@@ -332,16 +335,15 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 
 def test_criterion_11_lil_diagnostic():
-    srw = build_walk_setup("heisenberg-srw")
-    norm1 = build_gauge(abelian_algebra(1),
-                        lower_central_filtration(abelian_algebra(1)),
-                        mode="scaled_euclidean")
+    srw = with_defaults(build_walk_setup, "heisenberg-srw")
+    norm1 = with_defaults(build_gauge, abelian_algebra(1),
+                          lower_central_filtration(abelian_algebra(1)), mode="scaled_euclidean")
     pieces, ok = [], True
     for label, dist, norm in (("abelian", pm_one_line(), norm1),
                               ("heisenberg", srw.dist, srw.norm)):
         cps = default_checkpoints(2 ** 16)
-        cfg = WalkConfig(dist=dist, norm=norm, n_steps=2 ** 16,
-                         checkpoints=cps, replications=100, seed=0)
+        cfg = with_defaults(WalkConfig, dist=dist, norm=norm, n_steps=2 ** 16,
+                            checkpoints=cps, replications=100, seed=0)
         res = monte_carlo(cfg)
         good = lil_diagnostic(res.checkpoints, res.y_norm, alpha=0.5)
         bad = lil_diagnostic(res.checkpoints, res.y_norm, alpha=0.25)

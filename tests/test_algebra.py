@@ -211,7 +211,6 @@ def test_json_round_trip():
     alg = free_step3_algebra()
     assert clone.dim == alg.dim and clone.step == alg.step
     assert np.array_equal(clone.tensor, alg.tensor)
-    assert clone.labels == ("x", "y", "xy", "xxy", "yxy")
 
 
 def test_json_dim_ceiling():

@@ -28,7 +28,7 @@ KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
 # printed in the twist-validation error, and checked against c1/c2 by the fit test
 KEEP_FIELDS = {"QValidation.orthogonality_residual", "QValidation.automorphism_residual",
                "ConcentrationFit.tail_t", "ConcentrationFit.tail_p"}
-SETTABLE_CEILING = 21
+SETTABLE_CEILING = 7
 RUNTIME_DEPENDENCIES = {"numpy", "scipy"}
 
 

@@ -552,18 +552,47 @@ MALFORMED = [
         distribution={"atoms": [{"p": 1.0, "xi": [1], "kappa": 0}],
                       "Q": {"matrices": [[[1]]]}}))},
      ["walk", "--config", "c.json"], 2),
+    # a law with no atoms or no twist group
+    ("walk-no-atoms", {"c.json": json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], atoms=[])))},
+     ["walk", "--config", "c.json"], 2),
+    ("walk-no-twist-matrices", {"c.json": json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], Q={"matrices": []})))},
+     ["walk", "--config", "c.json"], 2),
+    # settings the schema bounds, and the library no longer re-checks
+    ("walk-eps-zero", {}, ["walk", "--preset", "r1-flip-eps", "--eps", "0"], 2),
+    ("walk-eps-one", {}, ["walk", "--preset", "r1-flip-eps", "--eps", "1"], 2),
+    ("walk-unknown-filtration", {},
+     ["walk", "--preset", "heisenberg-srw", "--filtration", "upper"], 2),
+    ("walk-unknown-conjugate", {},
+     ["walk", "--preset", "heisenberg-srw", "--conjugate", "sometimes"], 2),
 ]
+
+
+def run_malformed(tmp_path, capsys, files, argv):
+    """(exit code, stderr lines) of argv run over files written into tmp_path."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code = run(argv + ["--out", tmp_path / "o"])
+    return code, capsys.readouterr().err.splitlines()
 
 
 @pytest.mark.parametrize("files, argv, code", [case[1:] for case in MALFORMED],
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_exits_cleanly(tmp_path, capsys, files, argv, code):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
-    assert run(argv + ["--out", tmp_path / "o"]) == code
-    err = capsys.readouterr().err.splitlines()
+    got, err = run_malformed(tmp_path, capsys, files, argv)
+    assert got == code
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("case, key", [("walk-no-atoms", "config.distribution.atoms"),
+                                       ("walk-no-twist-matrices",
+                                        "config.distribution.Q.matrices")])
+def test_empty_law_list_error_names_its_key(tmp_path, capsys, case, key):
+    files, argv, _ = next(row[1:] for row in MALFORMED if row[0] == case)
+    _, err = run_malformed(tmp_path, capsys, files, argv)
+    assert f"{key} needs at least 1 items" in err[0]
 
 
 @pytest.mark.parametrize("command, listed", [

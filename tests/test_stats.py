@@ -7,6 +7,7 @@ from nilwalk.stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
                            render_tail_svg, tail_curve)
 
 from oracles import exponential_p_norm, gaussian_p_norm
+from schema_defaults import with_defaults
 
 
 def gaussian_groups(n=50_000, seed=0):
@@ -17,7 +18,7 @@ def gaussian_groups(n=50_000, seed=0):
 
 
 def test_gaussian_moment_norms_match_gamma_formula():
-    fit = fit_alpha(gaussian_groups(), n_bootstrap=50)
+    fit = with_defaults(fit_alpha, gaussian_groups(), n_bootstrap=50)
     for p, got in zip(fit.moment_orders, fit.family_norms):
         want = gaussian_p_norm(p)
         # the family norm is a sup over three groups, so it sits a touch
@@ -27,7 +28,7 @@ def test_gaussian_moment_norms_match_gamma_formula():
 
 
 def test_gaussian_exponents_land_in_band():
-    fit = fit_alpha(gaussian_groups(), n_bootstrap=200)
+    fit = with_defaults(fit_alpha, gaussian_groups(), n_bootstrap=200)
     assert 1.8 <= fit.alpha_moments <= 2.8
     assert 1.3 <= fit.alpha_tail <= 2.4
     assert fit.alpha_moments_ci[0] <= fit.alpha_moments <= fit.alpha_moments_ci[1]
@@ -42,7 +43,7 @@ def test_gaussian_exponents_land_in_band():
 
 def test_exponential_tail_exponent_near_one():
     rng = np.random.default_rng(3)
-    fit = fit_alpha({1: rng.exponential(size=60_000)}, n_bootstrap=100)
+    fit = with_defaults(fit_alpha, {1: rng.exponential(size=60_000)}, n_bootstrap=100)
     assert 0.85 <= fit.alpha_tail <= 1.15
     assert fit.family_norms[0] == pytest.approx(exponential_p_norm(2), rel=0.05)
 
@@ -51,26 +52,26 @@ def test_power_rescaling_halves_the_tail_exponent():
     """|x|^2 has tail exp(-t^(alpha/2)) when |x| has tail exp(-t^alpha)."""
     rng = np.random.default_rng(4)
     x = rng.exponential(size=60_000)
-    base = fit_alpha({1: x}, n_bootstrap=10)
-    squared = fit_alpha({1: x ** 2}, n_bootstrap=10)
+    base = with_defaults(fit_alpha, {1: x}, n_bootstrap=10)
+    squared = with_defaults(fit_alpha, {1: x ** 2}, n_bootstrap=10)
     assert squared.alpha_tail == pytest.approx(base.alpha_tail / 2, rel=0.15)
 
 
 def test_bounded_support_is_flagged():
     rng = np.random.default_rng(5)
-    fit = fit_alpha({1: rng.uniform(0.5, 1.0, size=40_000)}, n_bootstrap=10)
+    fit = with_defaults(fit_alpha, {1: rng.uniform(0.5, 1.0, size=40_000)}, n_bootstrap=10)
     assert "bounded-support-regime" in fit.flags
     assert fit.alpha_moments > 5.0
 
 
 def test_degenerate_samples_flagged():
-    fit = fit_alpha({1: np.full(100, 2.0)}, n_bootstrap=5)
+    fit = with_defaults(fit_alpha, {1: np.full(100, 2.0)}, n_bootstrap=5)
     assert "degenerate-samples" in fit.flags
 
 
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
-        fit_alpha({})
+        with_defaults(fit_alpha, {})
 
 
 def test_tail_curve_exponential_coverage():

@@ -13,6 +13,7 @@ from nilwalk import groups, walker
 from nilwalk.walker import WalkConfig, monte_carlo, recentre
 
 from oracles import heisenberg_rep, nilpotent_expm, nilpotent_logm, rep_matrix
+from schema_defaults import with_defaults
 
 
 def atom_indices(dist, seed, replicate, n_steps):
@@ -39,18 +40,18 @@ def mirror_fold(dist, idx):
     z = np.zeros(dist.alg.dim)
     q = int(dist.q.identity)
     for a in idx:
-        z = bch(dist.alg, z, dist.q.ad(q) @ dist.xis[a])
+        z = bch(dist.alg, z, dist.q.matrices[q] @ dist.xis[a])
         q = int(dist.q.table[q, dist.kappas[a]])
     return z, q
 
 
 def small_cfg(setup, n, reps, seed=0, **kw):
-    return WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=n,
-                      checkpoints=(n,), replications=reps, seed=seed, **kw)
+    return with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=n,
+                         checkpoints=(n,), replications=reps, seed=seed, **kw)
 
 
 def test_srw_final_state_matches_plain_product():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     cfg = small_cfg(setup, 48, 3, seed=11)
     res = monte_carlo(cfg)
     for r in range(3):
@@ -61,7 +62,7 @@ def test_srw_final_state_matches_plain_product():
 
 def test_srw_final_state_matches_matrix_logarithm():
     """Second, fully independent route: unipotent matrix products."""
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     cfg = small_cfg(setup, 32, 2, seed=5)
     res = monte_carlo(cfg)
     rep = heisenberg_rep()
@@ -77,7 +78,7 @@ def test_srw_final_state_matches_matrix_logarithm():
 
 def test_drifted_engine_matches_direct_recentring():
     """The per-step conjugation recursion against z_n * (-n v)."""
-    setup = build_walk_setup("heisenberg-drift")
+    setup = with_defaults(build_walk_setup, "heisenberg-drift")
     assert np.linalg.norm(setup.dist.v_mu) > 0.1
     cfg = small_cfg(setup, 40, 4, seed=2, cross_check=True)
     res = monte_carlo(cfg)
@@ -90,14 +91,14 @@ def test_drifted_engine_matches_direct_recentring():
 
 
 def test_cross_residual_exactly_zero_for_centred_law():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     cfg = small_cfg(setup, 16, 2, cross_check=True)
     res = monte_carlo(cfg)
     assert res.cross_residual == 0.0
 
 
 def test_twisted_walk_matches_fold_with_rotation():
-    setup = build_walk_setup("r2-c4")
+    setup = with_defaults(build_walk_setup, "r2-c4")
     assert setup.conjugated
     cfg = small_cfg(setup, 33, 4, seed=9)
     res = monte_carlo(cfg)
@@ -109,7 +110,7 @@ def test_twisted_walk_matches_fold_with_rotation():
 
 
 def test_layer_columns_are_euclidean_layer_norms():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     cfg = small_cfg(setup, 24, 6, seed=4)
     res = monte_carlo(cfg)
     comps = layer_components(setup.norm.filtration, res.final_y)
@@ -125,10 +126,10 @@ def test_pure_drift_recentres_to_exact_zero():
     q = finite_group(groups.trivial(1))
     dist = StepDistribution(alg=alg, q=q, probs=np.array([1.0]),
                             xis=np.array([[1.0]]), kappas=np.array([0]))
-    norm = build_gauge(alg, lower_central_filtration(alg),
-                       mode="scaled_euclidean")
-    cfg = WalkConfig(dist=dist, norm=norm, n_steps=32, checkpoints=(8, 32),
-                     replications=3, seed=0)
+    norm = with_defaults(build_gauge, alg, lower_central_filtration(alg),
+                         mode="scaled_euclidean")
+    cfg = with_defaults(WalkConfig, dist=dist, norm=norm, n_steps=32, checkpoints=(8, 32),
+                        replications=3, seed=0)
     res = monte_carlo(cfg)
     assert np.all(res.final_y == 0.0)
     assert np.all(res.running_max == 0.0)
@@ -138,7 +139,7 @@ def test_pure_drift_recentres_to_exact_zero():
 def test_doubling_composition_equals_long_run():
     """Composing two n-step states reproduces the 2n-step product exactly."""
     for preset in ("heisenberg-drift", "r2-c4"):
-        setup = build_walk_setup(preset)
+        setup = with_defaults(build_walk_setup, preset)
         dist = setup.dist
         n = 24
         cfg = small_cfg(setup, n, 2, seed=7)
@@ -154,7 +155,7 @@ def test_doubling_composition_equals_long_run():
 
 
 def test_doubling_distribution_ks():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     dist = setup.dist
     reps = 800
     long_cfg = small_cfg(setup, 128, reps, seed=0)
@@ -168,28 +169,28 @@ def test_doubling_distribution_ks():
 
 
 def test_checkpoints_must_cover_the_run():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     with pytest.raises(ValueError):
-        WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=64,
-                   checkpoints=(16, 32), replications=2, seed=0)
+        with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=64,
+                      checkpoints=(16, 32), replications=2, seed=0)
     with pytest.raises(ValueError):
-        WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=64,
-                   checkpoints=(), replications=2, seed=0)
+        with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=64,
+                      checkpoints=(), replications=2, seed=0)
     with pytest.raises(ValueError):
-        WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=64,
-                   checkpoints=(0, 64), replications=2, seed=0)
+        with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=64,
+                      checkpoints=(0, 64), replications=2, seed=0)
 
 
 def test_work_ceiling_enforced():
-    setup = build_walk_setup("heisenberg-srw")
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
     with pytest.raises(ResourceCeilingError):
-        WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=1024,
-                   checkpoints=(1024,), replications=2048, seed=0,
-                   max_work=2 ** 20)
+        with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=1024,
+                      checkpoints=(1024,), replications=2048, seed=0,
+                      max_work=2 ** 20)
 
 
 def test_seed_reproducibility():
-    setup = build_walk_setup("filiform4-srw")
+    setup = with_defaults(build_walk_setup, "filiform4-srw")
     cfg = small_cfg(setup, 32, 8, seed=3)
     a = monte_carlo(cfg)
     b = monte_carlo(cfg)
@@ -206,11 +207,11 @@ def drifted_random_engel5():
     xis[:, 0] += 0.7
     dist = StepDistribution(alg=free_step3_algebra(), q=finite_group(groups.trivial(5)),
                             probs=np.full(4, 0.25), xis=xis, kappas=np.zeros(4, dtype=np.int64))
-    return build_walk_setup("custom", dist)
+    return with_defaults(build_walk_setup, "custom", dist)
 
 
 @pytest.mark.parametrize("make, kw", [
-    (lambda: build_walk_setup("heisenberg-srw"), {}),
+    (lambda: with_defaults(build_walk_setup, "heisenberg-srw"), {}),
     (drifted_random_engel5, {"cross_check": True}),
 ], ids=["heisenberg-srw", "drifted-random-engel5"])
 def test_replicate_chunk_size_does_not_change_results(monkeypatch, make, kw):
@@ -226,9 +227,9 @@ def test_replicate_chunk_size_does_not_change_results(monkeypatch, make, kw):
 
 
 def test_sample_matrix_helpers():
-    setup = build_walk_setup("heisenberg-srw")
-    cfg = WalkConfig(dist=setup.dist, norm=setup.norm, n_steps=16,
-                     checkpoints=(4, 16), replications=5, seed=0)
+    setup = with_defaults(build_walk_setup, "heisenberg-srw")
+    cfg = with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=16,
+                        checkpoints=(4, 16), replications=5, seed=0)
     res = monte_carlo(cfg)
     assert res.replications == 5
 
