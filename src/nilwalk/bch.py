@@ -10,6 +10,9 @@ with right-nested brackets, merge coefficients exactly over the rationals,
 and only then convert to floats.  On a step-s nilpotent algebra every word
 of length > s vanishes, so the series truncated at degree s is exact.
 
+Words share right-nested suffixes, so one bch call brackets each distinct
+suffix once (29 brackets at degree 6, not 105) and sums in table order.
+
 Tables are built once per degree and cached.  Degrees above TABLE_CAP are
 refused: the term count grows fast and nothing in this package needs more.
 """
@@ -102,15 +105,6 @@ def dynkin_table(max_degree: int) -> DynkinTable:
                        abs_mass=tuple(masses), word_count=tuple(counts))
 
 
-def _eval_word(alg: NilpotentAlgebra, word: tuple[int, ...],
-               x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    operands = (x, y)
-    v = operands[word[-1]]
-    for letter in word[-2::-1]:
-        v = alg.bracket(operands[letter], v)
-    return v
-
-
 def bch(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """log(exp x exp y) on the algebra, exact for its nilpotency step.
 
@@ -119,9 +113,14 @@ def bch(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     table = dynkin_table(alg.step)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    # right-nested word -> its value: word[i:] is [word[i], word[i+1:]]
+    values = {(_X,): x, (_Y,): y}
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     for terms in table.terms:
         for word, coeff in terms:
-            out = out + coeff * _eval_word(alg, word, x, y)
+            for i in range(len(word) - 2, -1, -1):
+                if word[i:] not in values:
+                    values[word[i:]] = alg.bracket(values[word[i:i + 1]], values[word[i + 1:]])
+            out = out + coeff * values[word]
     return out
 

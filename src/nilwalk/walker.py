@@ -38,8 +38,10 @@ from .errors import ResourceCeilingError
 from .rng import STREAM_WALK, AliasSampler, substream
 from .semidirect import StepDistribution
 
-RNG_BLOCK_STEPS = 256
-REPLICATE_CHUNK = 512
+# A walk of R <= 1 024 replicates runs as one chunk, so each step's Python work
+# is paid once; a chunk's draw block, rows x steps x 2 doubles, stays 2 MiB.
+RNG_BLOCK_STEPS = 128
+REPLICATE_CHUNK = 1024
 DEFAULT_MAX_WORK = 2 ** 34
 
 

@@ -103,6 +103,11 @@ def _span_basis(vectors, tol=1e-10):
     return vt[:rank]
 
 
+def three_operand_bracket(tensor, x, y):
+    """[x, y] as one contraction of x, y and the structure tensor."""
+    return np.einsum("...i,...j,ijk->...k", x, y, tensor)
+
+
 def _bracket_all(tensor, basis_a, basis_b):
     out = []
     for a in basis_a:

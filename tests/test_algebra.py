@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilwalk import algebra
 from nilwalk.algebra import (MAX_DIM, NilpotentAlgebra, algebra_from_json,
                              layer_components, lower_central_filtration,
                              lower_central_series, validate_algebra,
@@ -11,7 +14,8 @@ from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
 from oracles import (closure_weighted_ideals, containment_residual,
-                     jacobi_residual_dense, subspace_contained)
+                     jacobi_residual_dense, subspace_contained,
+                     three_operand_bracket)
 
 PRESET_ALGEBRAS = [heisenberg_algebra(), filiform_algebra(4),
                    free_step3_algebra(), abelian_algebra(2)]
@@ -245,3 +249,60 @@ def test_ad_matrix_matches_bracket():
     rng = np.random.default_rng(2)
     x, w = rng.normal(size=5), rng.normal(size=5)
     assert np.allclose(alg.ad(x) @ w, alg.bracket(x, w), atol=1e-12)
+
+
+def _dense_antisymmetric(dim, seed):
+    t = np.random.default_rng(seed).normal(size=(dim, dim, dim))
+    return NilpotentAlgebra(dim=dim, step=dim - 1, tensor=t - np.transpose(t, (1, 0, 2)))
+
+
+@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [_dense_antisymmetric(7, 3)],
+                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "dense7"])
+def test_bracket_rows_round_alone(alg):
+    """A row's bracket is the same bits in a batch of 300 as on its own."""
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(2, 300, alg.dim))
+    batch = alg.bracket(x, y)
+    for i in range(len(x)):
+        assert np.array_equal(alg.bracket(x[i], y[i]), batch[i])
+        assert np.array_equal(alg.bracket(x[i:i + 1], y[i:i + 1]), batch[i:i + 1])
+
+
+@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [filiform_algebra(7)],
+                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "filiform7"])
+def test_bracket_bit_equal_to_three_operand_contraction(alg):
+    rng = np.random.default_rng(10)
+    x, y = rng.normal(size=(2, 512, alg.dim))
+    got, want = alg.bracket(x, y), three_operand_bracket(alg.tensor, x, y)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [_dense_antisymmetric(7, 3)],
+                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "dense7"])
+def test_bracket_blocks_round_as_one_batch(monkeypatch, alg):
+    """Cutting a batch into 7-row blocks changes no bit, broadcast operands included."""
+    rng = np.random.default_rng(11)
+    d = alg.dim
+    pairs = [rng.normal(size=(2, 300, d)), (rng.normal(size=(300, d)), rng.normal(size=d)),
+             (rng.normal(size=(3, 50, d)), rng.normal(size=(50, d)))]
+    whole = [alg.bracket(x, y) for x, y in pairs]
+    monkeypatch.setattr(algebra, "BRACKET_MIDDLE", 7 * d * d)
+    for (x, y), want in zip(pairs, whole):
+        got = alg.bracket(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_bracket_memory_does_not_grow_with_rows():
+    """At MAX_DIM the (rows, d, d) middle array stays near MAX_DIM^3 doubles."""
+    alg = _dense_antisymmetric(MAX_DIM, 4)
+    x, y = np.random.default_rng(12).normal(size=(2, 1000, MAX_DIM))
+    tracemalloc.start()
+    try:
+        alg.bracket(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unblocked middle array would be 1000 * 64^2 doubles, 31 MiB
+    assert peak < 2 * 8 * MAX_DIM ** 3  # twice the 2 MiB budget

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilwalk.algebra import NilpotentAlgebra
 from nilwalk.bch import TABLE_CAP, bch, dynkin_table
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
@@ -24,6 +25,23 @@ def test_table_cap_enforced():
         dynkin_table(TABLE_CAP + 1)
     with pytest.raises(ValueError):
         dynkin_table(0)
+
+
+@pytest.mark.parametrize("step, distinct_suffixes",
+                         [(1, 0), (2, 1), (3, 3), (4, 5), (5, 13), (6, 29)])
+def test_bch_brackets_each_suffix_once(monkeypatch, step, distinct_suffixes):
+    """One bch call costs one bracket per distinct right-nested suffix, not per word."""
+    calls = []
+    bracket = NilpotentAlgebra.bracket
+
+    def counted(self, x, y):
+        calls.append(1)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(NilpotentAlgebra, "bracket", counted)
+    alg = abelian_algebra(2) if step == 1 else filiform_algebra(step + 1)
+    bch(alg, np.ones(alg.dim), np.ones(alg.dim))
+    assert len(calls) == distinct_suffixes
 
 
 def test_heisenberg_hand_value():

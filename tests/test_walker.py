@@ -210,16 +210,34 @@ def drifted_random_engel5():
     return with_defaults(build_walk_setup, "custom", dist)
 
 
-@pytest.mark.parametrize("make, kw", [
+BATCHING_CASES = pytest.mark.parametrize("make, kw", [
     (lambda: with_defaults(build_walk_setup, "heisenberg-srw"), {}),
     (drifted_random_engel5, {"cross_check": True}),
 ], ids=["heisenberg-srw", "drifted-random-engel5"])
+
+
+@BATCHING_CASES
 def test_replicate_chunk_size_does_not_change_results(monkeypatch, make, kw):
     cfg = small_cfg(make(), 16, 1100, seed=1, **kw)
     runs = []
-    for chunk in (512, 64, 7, 1):
+    for chunk in (walker.REPLICATE_CHUNK, 64, 7, 1):
         monkeypatch.setattr(walker, "REPLICATE_CHUNK", chunk)
         runs.append(monte_carlo(cfg))
+    assert_same_samples(runs)
+
+
+@BATCHING_CASES
+def test_rng_block_size_does_not_change_results(monkeypatch, make, kw):
+    """Substreams draw in order, so the block a step's draws come in does not matter."""
+    cfg = small_cfg(make(), 300, 24, seed=1, **kw)  # 300 steps: 256 and 128 split differently
+    runs = []
+    for block in (256, 128, 7, 1):
+        monkeypatch.setattr(walker, "RNG_BLOCK_STEPS", block)
+        runs.append(monte_carlo(cfg))
+    assert_same_samples(runs)
+
+
+def assert_same_samples(runs):
     for other in runs[1:]:
         for name in ("running_max", "y_norm", "layer_euclid", "q_index", "final_y",
                      "cross_residual"):
