@@ -60,11 +60,13 @@ def project_onto(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of inner inside outer."""
+    """Orthonormal basis of the orthogonal complement of inner inside outer.
+
+    outer's rows are orthonormal, so a residual below RANK_RTOL is noise."""
     if outer.shape[0] == 0:
         return np.zeros((0, outer.shape[1] if outer.ndim == 2 else 0))
     resid = outer - project_onto(inner, outer)
-    return orthonormal_basis(resid)
+    return orthonormal_basis(resid, floor=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from .walker import SampleMatrix
 
 MANIFEST_SCHEMA_VERSION = 1
 FLOAT_FMT = "%.17g"
+# rows write_csv formats per %; one % for a whole wide walk would hold its
+# every float in one tuple, tens of MiB
+CSV_SLICE_ROWS = 1024
 
 
 def jsonify(obj):
@@ -67,11 +70,16 @@ def _vector(v) -> str:
 
 def write_csv(path: str, kind: str, meta: dict, columns, rows) -> None:
     """A nilwalk CSV: '# nilwalk-<kind>-csv 1', one '# key: value' line per
-    meta entry, '# columns: ...', then the rows at FLOAT_FMT."""
+    meta entry, '# columns: ...', then the rows at FLOAT_FMT: np.savetxt's
+    bytes, formatted CSV_SLICE_ROWS rows at a time."""
     header = [f"nilwalk-{kind}-csv 1", *(f"{k}: {v}" for k, v in meta.items()),
               "columns: " + " ".join(columns)]
-    np.savetxt(path, rows, fmt=FLOAT_FMT, delimiter=",", header="\n".join(header),
-               comments="# ")
+    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("# " + "\n".join(header).replace("\n", "\n# ") + "\n")
+        for lo in range(0, len(rows), CSV_SLICE_ROWS):
+            part = rows[lo:lo + CSV_SLICE_ROWS]
+            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
 def write_walk_csv(path: str, result: SampleMatrix, setup, seed: int,

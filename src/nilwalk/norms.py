@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Filtration, NilpotentAlgebra, layer_components
+from .algebra import RANK_RTOL, Filtration, NilpotentAlgebra, layer_components
 from .bch import TABLE_CAP, bch, dynkin_table
 from .rng import STREAM_GAUGE, substream
 
@@ -310,12 +310,13 @@ def _build_hull_layer(alg: NilpotentAlgebra, norm: HomogeneousNorm, weight: int,
     uu = np.vstack([u, np.repeat(base_pts, len(prev_pts), axis=0)])
     ww = np.vstack([wv, np.tile(prev_pts, (len(base_pts), 1))])
     prods = alg.bracket(uu, ww) @ btarget.T
-    verts = kappa_w * np.vstack([prods, -prods])
-    keep = np.linalg.norm(verts, axis=1) > 1e-14
-    verts = verts[keep]
-    if verts.shape[0] == 0:
+    # rows below RANK_RTOL of the largest possible bracket are rounding residue
+    scale = euclidean_bilinearity_bound(alg) * float(
+        np.max(np.linalg.norm(uu, axis=1)) * np.max(np.linalg.norm(ww, axis=1)))
+    prods = prods[np.linalg.norm(prods, axis=1) > RANK_RTOL * scale]
+    if prods.shape[0] == 0:
         return None
-    return verts
+    return kappa_w * np.vstack([prods, -prods])
 
 
 # ---------------------------------------------------------------------------

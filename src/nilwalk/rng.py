@@ -5,6 +5,10 @@ All randomness in the package flows through Philox substreams keyed by
 depends only on its key, never on how many other substreams exist or in
 which order they are consumed.  That is what makes Monte Carlo runs
 bit-reproducible for any chunk size.
+
+A stream's key is (seed, mix of path) and its counter the draw offset / 4
+(four 64-bit outputs per counter value), so substream_blocks reads many
+streams through one re-keyed Philox.
 """
 
 from __future__ import annotations
@@ -36,14 +40,39 @@ def _mix_path(parts: tuple[int, ...]) -> int:
     return h
 
 
+def _key(seed: int, path) -> tuple[int, int]:
+    return int(seed) & _MASK64, _mix_path(tuple(path))
+
+
 def substream(seed: int, *path: int) -> Generator:
     """Independent generator for (seed, *path).
 
     Same arguments always give the same stream; distinct paths give
     streams that never collide (128-bit Philox key).
     """
-    key = np.array([int(seed) & _MASK64, _mix_path(tuple(path))], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return Generator(Philox(key=np.array(_key(seed, path), dtype=np.uint64)))
+
+
+def substream_blocks(seed: int, paths, steps: int, block: int):
+    """Yield (s, u) for s = 0, block, 2 block, ... below steps, where u[i] is
+    substream(seed, *paths[i]).random((steps, 2))[s:s + block], bit for bit.
+
+    Per path and block, one Philox is re-keyed with an empty buffer at
+    counter 2 s // 4 and skips 2 s % 4 outputs.
+    """
+    keys = [_key(seed, p) for p in paths]
+    bitgen = Philox(0)  # re-keyed below; a fixed seed gathers no OS entropy
+    gen = Generator(bitgen)
+    state = bitgen.state
+    for start in range(0, steps, block):
+        out = np.empty((len(keys), min(block, steps - start), 2))
+        state["state"]["counter"] = (2 * start // 4, 0, 0, 0)
+        for row, key in zip(out, keys):
+            state["state"]["key"] = key
+            bitgen.state = state
+            bitgen.random_raw(2 * start % 4)
+            gen.random(out=row)
+        yield start, out
 
 
 class AliasSampler:

@@ -59,22 +59,6 @@ class ConcentrationFit:
     flags: tuple[str, ...]
 
 
-def _family_norms(groups: list[np.ndarray]) -> np.ndarray:
-    out = []
-    for p in MOMENT_ORDERS:
-        vals = [float(np.mean(g ** p) ** (1.0 / p)) for g in groups]
-        out.append(max(vals))
-    return np.array(out)
-
-
-def _sup_tail(groups: list[np.ndarray], t: np.ndarray) -> np.ndarray:
-    """Family exceedance sup_n P(|f_n| >= t), evaluated on a grid."""
-    p = np.zeros_like(t)
-    for g in groups:
-        p = np.maximum(p, (g[None, :] >= t[:, None]).mean(axis=1))
-    return p
-
-
 def _tail_grid(groups: list[np.ndarray]) -> np.ndarray:
     pooled = np.sort(np.concatenate(groups))
     n = pooled.size
@@ -84,17 +68,26 @@ def _tail_grid(groups: list[np.ndarray]) -> np.ndarray:
     return np.unique(pooled[idx])
 
 
-def _fit_alpha_once(groups, t_grid):
-    """One fit over groups of absolute values: both exponents, the moment
-    constant, the family exceedance on t_grid, its usable window and the
-    family norms."""
-    fam = _family_norms(groups)
+def _fit_alpha_once(tables, t_grid, picks):
+    """One fit over the groups, group i resampled at the indices picks[i]:
+    both exponents, the moment constant, the family exceedance
+    sup_n P(|f_n| >= t) on t_grid, its usable window and the family norms.
+    tables[i] holds group i's g ** p for each of MOMENT_ORDERS and how many
+    grid points each sample reaches (t_grid[k] <= g), so a resample costs
+    gathers and one bincount."""
+    fam = np.array([max(float(np.mean(pows[j][pick]) ** (1.0 / p))
+                        for (pows, _), pick in zip(tables, picks))
+                    for j, p in enumerate(MOMENT_ORDERS)])
+    p_hat = np.zeros_like(t_grid)
+    for (_, reach), pick in zip(tables, picks):
+        hits = reach[pick]
+        count = np.cumsum(np.bincount(hits, minlength=t_grid.size + 1)[::-1])[::-1]
+        p_hat = np.maximum(p_hat, count[1:] / hits.size)
     lp = np.log(np.asarray(MOMENT_ORDERS, dtype=float))
     slope, intercept = np.polyfit(lp, np.log(fam), 1)
     alpha_m = 1.0 / slope if slope > 0 else np.inf
     c_m = float(np.exp(intercept))
 
-    p_hat = _sup_tail(groups, t_grid)
     mask = (p_hat >= TAIL_WINDOW[0]) & (p_hat <= TAIL_WINDOW[1]) & (t_grid > 0) & (p_hat < 1)
     if mask.sum() >= 3:
         x = np.log(t_grid[mask])
@@ -121,15 +114,18 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
     if all(float(np.std(g)) < 1e-15 for g in groups):
         flags.append("degenerate-samples")
     t_grid = _tail_grid(groups)
-    alpha_m, c_m, alpha_t, p_hat, mask, fam = _fit_alpha_once(groups, t_grid)
+    tables = [([g ** p for p in MOMENT_ORDERS], np.searchsorted(t_grid, g, "right"))
+              for g in groups]
+    alpha_m, c_m, alpha_t, p_hat, mask, fam = _fit_alpha_once(tables, t_grid,
+                                                              [slice(None)] * len(groups))
     if mask.sum() < 3:
         flags.append("tail-window-too-narrow")
 
     rng = substream(seed, STREAM_BOOTSTRAP, 1)
     boots_m, boots_t = [], []
     for _ in range(n_bootstrap):
-        res = [g[rng.integers(0, g.size, g.size)] for g in groups]
-        am, _, at, _, _, _ = _fit_alpha_once(res, t_grid)
+        picks = [rng.integers(0, g.size, g.size) for g in groups]
+        am, _, at, _, _, _ = _fit_alpha_once(tables, t_grid, picks)
         boots_m.append(am)
         if np.isfinite(at):
             boots_t.append(at)

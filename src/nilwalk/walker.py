@@ -19,10 +19,12 @@ every checkpoint.
 
 monte_carlo is the one entry point.  Replicates advance in lockstep as
 numpy batches, one fixed-size chunk of replicates at a time.  Each
-replicate draws from its own counter-based substream keyed by (seed,
-replicate) and every product rounds row by row (einsum, not a BLAS @), so
-results are bit-identical for any chunk size, and one replicate's atom
-choices can be redrawn from that substream alone.
+replicate draws from its own counter-based substream, key (seed, path
+(STREAM_WALK, replicate)) and counter = draw offset / 4; a chunk reads its
+replicates' streams block by block through one re-keyed Philox.  Every
+product rounds row by row (einsum, not a BLAS @), so results are
+bit-identical for any chunk or block size, and one replicate's atom choices
+can be redrawn from substream(seed, STREAM_WALK, replicate) alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .algebra import layer_components
 from .bch import bch
 from .norms import HomogeneousNorm, hom_norm
 from .errors import ResourceCeilingError
-from .rng import STREAM_WALK, AliasSampler, substream
+from .rng import STREAM_WALK, AliasSampler, substream_blocks
 from .semidirect import StepDistribution
 
 # A walk of R <= 1 024 replicates runs as one chunk, so each step's Python work
@@ -130,12 +132,9 @@ def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> 
     qidx = np.full(r, dist.q.identity, dtype=np.int64)
     run_max = np.zeros(r)
 
-    gens = [substream(cfg.seed, STREAM_WALK, rep) for rep in range(lo, hi)]
-    step = 0
-    while step < cfg.n_steps:
-        block = min(RNG_BLOCK_STEPS, cfg.n_steps - step)
-        u = np.stack([g.random((block, 2)) for g in gens])  # (r, block, 2)
-        for j in range(block):
+    paths = [(STREAM_WALK, rep) for rep in range(lo, hi)]
+    for step, u in substream_blocks(cfg.seed, paths, cfg.n_steps, RNG_BLOCK_STEPS):
+        for j in range(u.shape[1]):
             n = step + j + 1
             g = qidx * m + sampler.sample(u[:, j, :])
             # take gathers rows several times faster than walked[g]
@@ -161,7 +160,6 @@ def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> 
                     direct = recentre(dist, z, n)
                     out.cross_residual = max(out.cross_residual,
                                              float(np.max(np.abs(direct - y))))
-        step += block
     out.final_y[lo:hi] = y
 
 

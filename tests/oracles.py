@@ -103,6 +103,14 @@ def _span_basis(vectors, tol=1e-10):
     return vt[:rank]
 
 
+def rotate_basis(tensor, seed):
+    """(q, tensor') for the same algebra in the coordinates x' = q x, q a
+    seeded random orthogonal matrix: every structure constant becomes dense."""
+    d = tensor.shape[0]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q, np.einsum("ai,bj,ijk,ck->abc", q, q, tensor, q)
+
+
 def three_operand_bracket(tensor, x, y):
     """[x, y] as one contraction of x, y and the structure tensor."""
     return np.einsum("...i,...j,ijk->...k", x, y, tensor)
@@ -204,6 +212,26 @@ def gaussian_p_norm(p):
 def exponential_p_norm(p):
     """||Exp(1)||_p = Gamma(p+1)^(1/p)."""
     return math.gamma(p + 1.0) ** (1.0 / p)
+
+
+def direct_fit_once(groups, t_grid, moment_orders, tail_window):
+    """One concentration fit over groups of absolute values, straight from the
+    definitions: family norms from g ** p, exceedance by comparing every
+    sample with every grid point.  Returns (alpha_moments, c_moment,
+    alpha_tail, p_hat, mask, family_norms)."""
+    fam = np.array([max(float(np.mean(g ** p) ** (1.0 / p)) for g in groups)
+                    for p in moment_orders])
+    slope, intercept = np.polyfit(np.log(np.asarray(moment_orders, dtype=float)),
+                                  np.log(fam), 1)
+    alpha_m = 1.0 / slope if slope > 0 else np.inf
+    p_hat = np.zeros_like(t_grid)
+    for g in groups:
+        p_hat = np.maximum(p_hat, (g[None, :] >= t_grid[:, None]).mean(axis=1))
+    mask = (p_hat >= tail_window[0]) & (p_hat <= tail_window[1]) & (t_grid > 0) & (p_hat < 1)
+    alpha_t = np.nan
+    if mask.sum() >= 3:
+        alpha_t, _ = np.polyfit(np.log(t_grid[mask]), np.log(-np.log(p_hat[mask])), 1)
+    return alpha_m, float(np.exp(intercept)), alpha_t, p_hat, mask, fam
 
 
 # ---------------------------------------------------------------------------

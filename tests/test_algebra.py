@@ -14,7 +14,7 @@ from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
 from oracles import (closure_weighted_ideals, containment_residual,
-                     jacobi_residual_dense, subspace_contained,
+                     jacobi_residual_dense, rotate_basis, subspace_contained,
                      three_operand_bracket)
 
 PRESET_ALGEBRAS = [heisenberg_algebra(), filiform_algebra(4),
@@ -94,6 +94,23 @@ def test_heisenberg_weighted_depth_three():
     norms = [np.linalg.norm(c) for c in comps]
     assert norms[2] == pytest.approx(1.0, abs=1e-12)
     assert norms[0] <= 1e-12 and norms[1] <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8)], ids=["e1", "off-axis"])
+def test_weighted_layers_split_the_space_in_any_basis(seed, v):
+    """Drifted engel5: F^(2) = F^(3), computed from different spans, leaves
+    an empty weight-2 layer rather than a basis of their rounding difference.
+    seed None is the axis basis, others a random orthonormal one."""
+    base = free_step3_algebra()
+    v = np.array([*v, 0.0, 0.0, 0.0])
+    if seed is not None:
+        q, tensor = rotate_basis(base.tensor, seed)
+        base, v = NilpotentAlgebra(dim=5, step=3, tensor=tensor), q @ v
+    filt = weighted_filtration(base, v)
+    assert filt.layer_dims() == (2, 0, 1, 1, 1)
+    layers = np.vstack(filt.layers)
+    assert np.allclose(layers @ layers.T, np.eye(5), atol=1e-10)
 
 
 def test_weighted_depends_on_v_mod_derived():

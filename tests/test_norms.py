@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilwalk.algebra import (layer_components, lower_central_filtration,
-                             weighted_filtration)
+from nilwalk.algebra import (NilpotentAlgebra, layer_components,
+                             lower_central_filtration, weighted_filtration)
 from nilwalk.norms import (_hull_layer, _layer_gauge, _polygon_gauge,
                            bilinearity_constant, build_gauge,
                            coefficient_mass_bound, default_kappas, dilate,
@@ -12,7 +12,7 @@ from nilwalk.norms import (_hull_layer, _layer_gauge, _polygon_gauge,
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
-from oracles import polygon_gauge_oracle
+from oracles import polygon_gauge_oracle, rotate_basis
 from schema_defaults import with_defaults
 
 
@@ -123,6 +123,28 @@ def test_hull_fallback_flagged_on_empty_middle_layer():
     r = 2.0
     assert hom_norm(norm, dilate(filt, r, x)) == pytest.approx(
         r * hom_norm(norm, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8)], ids=["e1", "off-axis"])
+def test_hull_falls_back_where_brackets_are_rounding_residue(v):
+    """Drifted engel5 in a random orthonormal basis.  [m_1, m_4] = 0, so the
+    weight-5 products are rounding residue of dense structure constants: the
+    layer falls back as it does in the axis basis, and a 1e-13 change in the
+    bracket's rounding leaves the gauge where it was."""
+    base = free_step3_algebra()
+    v = np.array([*v, 0.0, 0.0, 0.0])
+    axis = build_gauge(base, weighted_filtration(base, v), "bracket_hull", seed=0,
+                       calibration_pairs=20_000, hull_samples=512)
+    q, tensor = rotate_basis(base.tensor, 0)
+    filt = weighted_filtration(NilpotentAlgebra(dim=5, step=3, tensor=tensor), q @ v)
+    norms = [build_gauge(NilpotentAlgebra(dim=5, step=3, tensor=tensor * scale), filt,
+                         "bracket_hull", seed=0, calibration_pairs=20_000, hull_samples=512)
+             for scale in (1.0, 1.0 + 1e-13)]
+    assert axis.fallback_weights == (3, 5)  # weight 2 is empty, weight 5 unreachable
+    for norm in norms:
+        assert norm.fallback_weights == (3, 5)
+        assert norm.bilinearity_bound <= 1.0
+    assert norms[1].bilinearity_bound == pytest.approx(norms[0].bilinearity_bound, rel=1e-9)
 
 
 def test_gauge_descriptor_is_stable_and_complete():

@@ -1,12 +1,14 @@
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from nilwalk import stats
 from nilwalk.stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
                            render_tail_svg, tail_curve)
 
-from oracles import exponential_p_norm, gaussian_p_norm
+from oracles import direct_fit_once, exponential_p_norm, gaussian_p_norm
 from schema_defaults import with_defaults
 
 
@@ -67,6 +69,43 @@ def test_bounded_support_is_flagged():
 def test_degenerate_samples_flagged():
     fit = with_defaults(fit_alpha, {1: np.full(100, 2.0)}, n_bootstrap=5)
     assert "degenerate-samples" in fit.flags
+
+
+def _fit_cases():
+    rng = np.random.default_rng(9)
+    ties = rng.integers(0, 12, size=(3, 400)).astype(float)  # grid points are sample values
+    zeros = rng.normal(size=500)
+    zeros[::7] = 0.0
+    return {
+        "unequal-sizes": ({4: rng.exponential(size=300), 16: rng.normal(size=1000),
+                           64: rng.standard_t(3, size=57)}, 40),
+        "ties": ({n: row for n, row in zip((8, 16, 32), ties)}, 40),
+        "zeros": ({1: zeros, 2: rng.normal(size=200)}, 40),
+        "degenerate": ({1: np.full(50, 2.0), 2: np.full(80, 2.0)}, 20),
+        "no-bootstrap": ({4: rng.normal(size=2000), 8: rng.exponential(size=900)}, 0),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fit_cases()))
+def test_fit_alpha_bit_equal_to_direct_route(monkeypatch, case):
+    """The tabulated powers and reached-grid counts give every field, bit for
+    bit, that resampled powers and broadcast comparisons give."""
+    samples, n_boot = _fit_cases()[case]
+    fast = fit_alpha(samples, n_bootstrap=n_boot, seed=3)
+    groups = [np.abs(g) for g in samples.values()]
+    monkeypatch.setattr(stats, "_fit_alpha_once", lambda tables, t_grid, picks: direct_fit_once(
+        [g[pick] for g, pick in zip(groups, picks)], t_grid,
+        stats.MOMENT_ORDERS, stats.TAIL_WINDOW))
+    direct = fit_alpha(samples, n_bootstrap=n_boot, seed=3)
+    for field in dataclasses.fields(stats.ConcentrationFit):
+        got, want = getattr(fast, field.name), getattr(direct, field.name)
+        if field.name == "flags":
+            assert got == want
+        else:
+            assert np.array_equal(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
+                                  equal_nan=True), field.name
+    if case == "degenerate":
+        assert "degenerate-samples" in fast.flags
 
 
 def test_empty_input_rejected():

@@ -7,9 +7,9 @@ from nilwalk.bch import bch
 from nilwalk.errors import ResourceCeilingError
 from nilwalk.norms import build_gauge, hom_norm
 from nilwalk.presets import abelian_algebra, build_walk_setup, free_step3_algebra
-from nilwalk.rng import STREAM_WALK, AliasSampler, substream
+from nilwalk.rng import STREAM_WALK, AliasSampler, substream, substream_blocks
 from nilwalk.semidirect import StepDistribution, finite_group
-from nilwalk import groups, walker
+from nilwalk import groups, rng, walker
 from nilwalk.walker import WalkConfig, monte_carlo, recentre
 
 from oracles import heisenberg_rep, nilpotent_expm, nilpotent_logm, rep_matrix
@@ -235,6 +235,44 @@ def test_rng_block_size_does_not_change_results(monkeypatch, make, kw):
         monkeypatch.setattr(walker, "RNG_BLOCK_STEPS", block)
         runs.append(monte_carlo(cfg))
     assert_same_samples(runs)
+
+
+@pytest.mark.parametrize("block", [128, 7, 1])
+def test_walker_draws_each_replicates_own_substream(monkeypatch, block):
+    """Two chunks, 300 steps: every step's uniforms are the replicate's substream."""
+    drawn = []
+    real = AliasSampler.sample
+    monkeypatch.setattr(AliasSampler, "sample", lambda self, u: drawn.append(u.copy())
+                        or real(self, u))
+    monkeypatch.setattr(walker, "RNG_BLOCK_STEPS", block)
+    monte_carlo(small_cfg(with_defaults(build_walk_setup, "r2-c4"), 300, 1100, seed=5))
+    assert len(drawn) == 2 * 300  # one call per step and chunk
+    u = np.concatenate([np.stack(drawn[:300], axis=1), np.stack(drawn[300:], axis=1)])
+    for rep in range(1100):
+        assert np.array_equal(u[rep], substream(5, STREAM_WALK, rep).random((300, 2))), rep
+
+
+def test_substream_blocks_start_at_any_offset():
+    paths = [(STREAM_WALK, rep) for rep in (0, 3, 1 << 40)]
+    whole = [substream(2, *p).random((300, 2)) for p in paths]
+    for block in (7, 256):
+        starts = []
+        for start, u in substream_blocks(2, paths, 300, block):
+            starts.append(start)
+            assert u.shape == (3, min(block, 300 - start), 2)
+            for row, ref in zip(u, whole):
+                assert np.array_equal(row, ref[start:start + block])
+        assert starts == list(range(0, 300, block))  # 0, 7, 14, ... and 0, 256
+
+
+def test_walk_builds_one_philox_per_chunk(monkeypatch):
+    """Substreams are re-keyed, not rebuilt per replicate."""
+    cfg = small_cfg(with_defaults(build_walk_setup, "r2-c4"), 4, 3000)
+    built = []
+    real = rng.Philox
+    monkeypatch.setattr(rng, "Philox", lambda *a, **kw: built.append(a) or real(*a, **kw))
+    monte_carlo(cfg)
+    assert 0 < len(built) <= -(-3000 // walker.REPLICATE_CHUNK)
 
 
 def assert_same_samples(runs):
