@@ -19,10 +19,11 @@ bracket_hull
     has bilinearity constant <= 1 and a subadditive group norm.  Gauge
     evaluation uses the hull's facet description, so it errs on the large
     side when the sampled hull misses extreme points.  A 2-D layer (a
-    polygon) is evaluated by an angular facet lookup: a binary search over
-    the vertex angles finds the facet the ray through x hits, and only it
-    and its two neighbours are evaluated.  Other hull layers take the max
-    over all facets.
+    polygon) is built by Andrew's monotone chain and evaluated by an angular
+    facet lookup: a binary search over the vertex angles finds the facet the
+    ray through x hits, and only it and its two neighbours are evaluated.
+    Hull layers of dimension >= 3 are built by Qhull (scipy.spatial,
+    imported on first use) and take the max over all facets.
 
 Degenerate layers (dimension zero, or a hull that does not span its
 layer) fall back to scaled euclidean and are flagged.
@@ -53,8 +54,9 @@ class HomogeneousNorm:
     kappa: tuple[float, ...]
     hull_vertices: list[np.ndarray | None]   # layer coords, per weight
     hull_facets: list[np.ndarray | None]     # rows (a..., b): a.x <= b
-    # 2-D hull layers only: (sorted start-vertex angles, facet rows in that order)
-    hull_angular: list[tuple[np.ndarray, np.ndarray] | None]
+    # 2-D hull layers only: sorted angles of the facets' counter-clockwise
+    # start vertices, the layer's hull_facets listed in that order
+    hull_angles: list[np.ndarray | None]
     fallback_weights: tuple[int, ...]
     bilinearity_bound: float
 
@@ -97,8 +99,8 @@ def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.n
     facets = norm.hull_facets[i]
     if facets is None:
         return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
-    if norm.hull_angular[i] is not None:
-        return _polygon_gauge(*norm.hull_angular[i], coords)
+    if norm.hull_angles[i] is not None:
+        return _polygon_gauge(norm.hull_angles[i], facets, coords)
     a, b = facets[:, :-1], facets[:, -1]
     ratios = np.einsum("...j,fj->...f", coords, a)  # row-independent, unlike BLAS @
     ratios /= b         # in place: one (rows, facets) temporary per call, not two
@@ -204,12 +206,36 @@ def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
 # ---------------------------------------------------------------------------
 # construction
 
-def _hull_layer(vertices: np.ndarray):
-    """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}, angular table).
+def _convex_ring(points: np.ndarray) -> list[int]:
+    """Rows of distinct, lexicographically sorted 2-D points that are strict
+    vertices of their convex hull, counter-clockwise from the first row
+    (Andrew's monotone chain)."""
+    pts = points.tolist()
 
-    The angular table, for 2-D layers only (None otherwise), holds the
-    sorted angles of each facet's counter-clockwise start vertex and the
-    facet rows in that order.  Returns None if the hull is degenerate.
+    def chain(order):
+        out = []
+        for i in order:
+            x, y = pts[i]
+            while len(out) >= 2:
+                (ox, oy), (px, py) = pts[out[-2]], pts[out[-1]]
+                if (px - ox) * (y - oy) - (py - oy) * (x - ox) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    n = len(pts)
+    return chain(range(n))[:-1] + chain(range(n - 1, -1, -1))[:-1]
+
+
+def _hull_layer(vertices: np.ndarray):
+    """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}, angles).
+
+    Hull vertices are listed in input order.  A 2-D layer is built by a
+    monotone chain, its facets listed counter-clockwise from the one whose
+    start vertex has the smallest angle; angles holds those start-vertex
+    angles (None for other layers).  Layers of dimension >= 3 use Qhull.
+    Returns None if the hull is degenerate or misses the origin.
     """
     k = vertices.shape[1]
     if k == 1:
@@ -220,22 +246,29 @@ def _hull_layer(vertices: np.ndarray):
     rank = np.linalg.matrix_rank(vertices, rtol=1e-10)
     if rank < k:
         return None
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(vertices)
-    eqs = hull.equations  # a.x + b <= 0
-    a, b = eqs[:, :-1], -eqs[:, -1]
+    angles = None
+    if k == 2:
+        # exact duplicates: keep the first copy, so vertex listings are stable
+        points, first = np.unique(vertices, axis=0, return_index=True)
+        ring = first[_convex_ring(points)]
+        angles = np.arctan2(vertices[ring, 1], vertices[ring, 0])
+        turn = int(np.argmin(angles))
+        ring, angles = np.roll(ring, -turn), np.roll(angles, -turn)
+        s, t = vertices[ring], vertices[np.roll(ring, -1)]
+        # outward unit normals of the counter-clockwise edges s -> t, rounded
+        # as Qhull rounds them
+        a = np.stack([t[:, 1] - s[:, 1], s[:, 0] - t[:, 0]], axis=1)
+        a /= np.sqrt(a[:, 0] ** 2 + a[:, 1] ** 2)[:, None]
+        b = np.sum(a * s, axis=1)
+        kept = ring
+    else:
+        from scipy.spatial import ConvexHull
+        hull = ConvexHull(vertices)
+        a, b = hull.equations[:, :-1], -hull.equations[:, -1]  # a.x - b <= 0
+        kept = hull.vertices
     if np.any(b <= 0):  # origin not interior
         return None
-    facets = np.hstack([a, b[:, None]])
-    angular = None
-    if k == 2:
-        ends = vertices[hull.simplices]                      # (F, 2, 2)
-        ccw = ends[:, 0, 0] * ends[:, 1, 1] > ends[:, 0, 1] * ends[:, 1, 0]
-        start = np.where(ccw[:, None], ends[:, 0], ends[:, 1])
-        angles = np.arctan2(start[:, 1], start[:, 0])
-        order = np.argsort(angles)
-        angular = angles[order], facets[order]
-    return vertices[np.sort(hull.vertices)], facets, angular
+    return vertices[np.sort(kept)], np.hstack([a, b[:, None]]), angles
 
 
 def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
@@ -249,7 +282,7 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
     ce = max(1.0, euclidean_bilinearity_bound(alg))
     norm = HomogeneousNorm(filtration=filt, mode=mode, layer_scales=[1.0] * depth,
                            kappa=kap, hull_vertices=[None] * depth,
-                           hull_facets=[None] * depth, hull_angular=[None] * depth,
+                           hull_facets=[None] * depth, hull_angles=[None] * depth,
                            fallback_weights=(), bilinearity_bound=0.0)
 
     per_layer_pairs = max(256, calibration_pairs // max(1, depth - 1))
@@ -262,7 +295,7 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
             verts = _build_hull_layer(alg, norm, w, kap[i], hull_samples, seed)
             hull = _hull_layer(verts) if verts is not None else None
             if hull is not None:
-                norm.hull_vertices[i], norm.hull_facets[i], norm.hull_angular[i] = hull
+                norm.hull_vertices[i], norm.hull_facets[i], norm.hull_angles[i] = hull
                 continue
             norm.fallback_weights += (w,)
         # scaled euclidean path (scaled_euclidean mode, or hull fallback)

@@ -82,14 +82,20 @@ class _LiftMaps:
         return np.sum(r * r, axis=-1), np.max(np.sum(e * e, axis=-1), axis=-1)
 
 
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """The (k d, k d) block-diagonal matrix of k blocks of shape (d, d)."""
+    k, d, _ = np.shape(blocks)
+    out = np.zeros((k, d, k, d))
+    out[np.arange(k), :, np.arange(k)] = blocks
+    return out.reshape(k * d, k * d)
+
+
 def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
     """Build _LiftMaps; raises ValueError if a relator rotation is not the identity.
 
     With M_f = A_f - I and u_f in its range, Fix(f) is at distance
     |P_f x + M_f^+ u_f| from x, P_f the projector onto the row space of M_f.
     """
-    # imported on first call, so importing the CLI loads no scipy submodule
-    from scipy.linalg import block_diag
     mats = group.matrices
     k, d = mats.shape[0], mats.shape[1]
     proj, rows, rhs = [], [], []
@@ -100,7 +106,7 @@ def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
         proj.append(col @ col.T)
         rows.append(row.T @ row)
         rhs.append(-(row.T / s) @ col.T)
-    rows, rhs = np.vstack(rows), block_diag(*rhs)
+    rows, rhs = np.vstack(rows), _block_diag(rhs)
     centre = np.linalg.lstsq(rows, rhs, rcond=None)[0]
 
     inv_prod = group.inverse[group.table]       # (f1, f2) -> (f1 f2)^{-1}
@@ -111,7 +117,7 @@ def _lift_maps(group: FiniteActionGroup) -> _LiftMaps:
     e = np.eye(k * d).reshape(k * d, k, d)
     rel = (e[:, :, None] + np.einsum("aij,ncj->naci", mats, e)
            + np.einsum("acij,nacj->naci", a12, e[:, inv_prod]))
-    return _LiftMaps(proj=block_diag(*proj), resid=rows @ centre - rhs, centre=centre,
+    return _LiftMaps(proj=_block_diag(proj), resid=rows @ centre - rhs, centre=centre,
                      defect=rel.reshape(k * d, -1).T)
 
 

@@ -328,3 +328,11 @@ def polygon_gauge_oracle(facets, x):
         dot = sum(x[..., c] * row[c] for c in range(x.shape[-1]))
         out = np.maximum(out, dot / row[-1])
     return out
+
+
+def qhull_polytope(points):
+    """(vertex rows in input order, facet normals a, offsets b) of the convex
+    hull {y : a.y <= b} of points, computed by scipy's Qhull."""
+    from scipy.spatial import ConvexHull
+    hull = ConvexHull(points)
+    return points[np.sort(hull.vertices)], hull.equations[:, :-1], -hull.equations[:, -1]

@@ -8,7 +8,8 @@ Every dataclass field must be read as an attribute somewhere in
 src/nilwalk; KEEP_FIELDS lists the fields only a message or a test reads.
 The number of settable values is held at or below SETTABLE_CEILING.
 The third-party modules the package imports are exactly its declared
-runtime dependencies, and importing the CLI loads no scipy submodule.
+runtime dependencies, importing the CLI loads no scipy submodule, and a
+preset hull walk or split scan loads neither scipy.spatial nor scipy.linalg.
 """
 
 import ast
@@ -168,12 +169,28 @@ def test_imports_are_the_declared_runtime_dependencies():
     assert third_party_imports() == declared == RUNTIME_DEPENDENCIES
 
 
-def test_cli_import_loads_no_schema_library_or_scipy_submodule():
-    """scipy submodules are imported inside the functions that call them."""
+def loaded_modules(code: str) -> set[str]:
+    """The modules sys.modules holds after a fresh interpreter runs code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, nilwalk.cli; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
-    heavy = {"jsonschema", "scipy.stats", "scipy.special", "scipy.linalg"}
-    assert not heavy & set(loaded)
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_schema_library_or_scipy_submodule():
+    """scipy submodules are imported inside the functions that call them."""
+    heavy = {"jsonschema", "scipy.stats", "scipy.special", "scipy.linalg", "scipy.spatial"}
+    assert not heavy & loaded_modules("import nilwalk.cli")
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--preset", "engel5-srw", "--gauge", "bracket_hull", "--n", "8", "--reps", "16"],
+    ["split-scan", "--preset", "d4-r2", "--reps", "32"],
+], ids=["engel5-hull-walk", "d4-split-scan"])
+def test_preset_commands_load_no_hull_or_linalg_module(argv, tmp_path):
+    """Polygon hulls and block-diagonal lift maps are built in numpy; only
+    hull layers of dimension >= 3 need Qhull."""
+    loaded = loaded_modules("from nilwalk.cli import main\n"
+                            f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0")
+    assert not {"scipy.spatial", "scipy.linalg"} & loaded

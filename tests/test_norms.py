@@ -4,15 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from nilwalk.algebra import (NilpotentAlgebra, layer_components,
                              lower_central_filtration, weighted_filtration)
-from nilwalk.norms import (_hull_layer, _layer_gauge, _polygon_gauge,
-                           bilinearity_constant, build_gauge,
+from nilwalk.norms import (DEFAULT_HULL_SAMPLES, _build_hull_layer, _hull_layer,
+                           _layer_gauge, _polygon_gauge, bilinearity_constant,
+                           build_gauge,
                            coefficient_mass_bound, default_kappas, dilate,
                            euclidean_bilinearity_bound, gauge_descriptor,
                            hom_norm, subadditivity_defect)
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
-from oracles import polygon_gauge_oracle, rotate_basis
+from oracles import polygon_gauge_oracle, qhull_polytope, rotate_basis
 from schema_defaults import with_defaults
 
 
@@ -236,7 +237,67 @@ def test_polygon_lookup_covers_a_sharp_vertex_at_pi():
     far more than an ulp, so the lookup needs the neighbours of the facet the
     rounded angle picks."""
     verts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1e-3], [0.0, -1e-3]])
-    _, facets, angular = _hull_layer(verts)
+    _, facets, angles = _hull_layer(verts)
     coords = np.array([[sx, t] for sx in (-1.0, -1e3, 1.0)
                        for t in (0.0, -0.0, 1e-17, -1e-17, 1e-16, -1e-16)])
-    _within_ulps(_polygon_gauge(*angular, coords), polygon_gauge_oracle(facets, coords))
+    _within_ulps(_polygon_gauge(angles, facets, coords), polygon_gauge_oracle(facets, coords))
+
+
+def _assert_polygon_matches_qhull(points, same_listing=True):
+    """The monotone-chain polygon against Qhull's hull of the same points:
+    the same vertices, bit-equal facet normals and offsets within one ulp
+    (Qhull takes each offset from either end of its edge)."""
+    verts, facets, angles = _hull_layer(points)
+    q_verts, q_normals, q_offsets = qhull_polytope(points)
+    if same_listing:
+        assert np.array_equal(verts, q_verts)
+    else:
+        assert np.array_equal(np.unique(verts, axis=0), np.unique(q_verts, axis=0))
+    assert facets.shape == (len(q_offsets), 3) and np.all(np.diff(angles) > 0)
+    mine = np.lexsort((facets[:, 1], facets[:, 0]))
+    theirs = np.lexsort((q_normals[:, 1], q_normals[:, 0]))
+    assert np.array_equal(facets[mine, :2], q_normals[theirs])
+    offsets, q_offsets = facets[mine, 2], q_offsets[theirs]
+    assert np.all(np.abs(offsets - q_offsets) <= np.spacing(q_offsets))
+    _within_ulps(_polygon_gauge(angles, facets, points),
+                 polygon_gauge_oracle(facets, points))
+
+
+def _weight3_hull_input(alg, seed):
+    """The points whose hull is the weight-3 polygon of alg's preset gauge."""
+    norm = build_gauge(alg, lower_central_filtration(alg), "bracket_hull", seed=seed)
+    return _build_hull_layer(alg, norm, 3, norm.kappa[2], DEFAULT_HULL_SAMPLES, seed)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_polygon_hull_matches_qhull_on_engel5(seed):
+    _assert_polygon_matches_qhull(_weight3_hull_input(free_step3_algebra(), seed))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_polygon_hull_matches_qhull_on_rotated_engel5(seed):
+    """In a dense basis the input repeats some points exactly, and Qhull may
+    list a later copy: the vertex sets agree, the listings need not."""
+    _, tensor = rotate_basis(free_step3_algebra().tensor, seed)
+    alg = NilpotentAlgebra(dim=5, step=3, tensor=tensor)
+    _assert_polygon_matches_qhull(_weight3_hull_input(alg, seed), same_listing=False)
+
+
+def test_polygon_hull_keeps_the_first_copy_of_a_duplicate():
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0],
+                    [0.0, 1.0], [0.2, 0.1], [0.5, 0.5]])
+    verts, facets, angles = _hull_layer(pts)
+    assert np.array_equal(verts, pts[[0, 1, 3, 4]])
+    assert np.array_equal(angles, np.arctan2(verts[[3, 0, 1, 2], 1], verts[[3, 0, 1, 2], 0]))
+    r = 0.5 ** 0.5
+    assert np.allclose(facets, [[r, -r, r], [r, r, r], [-r, r, r], [-r, -r, r]])
+    _assert_polygon_matches_qhull(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    [[1.0, 2.0], [-0.5, -1.0], [2.0, 4.0], [-1.0, -2.0], [1.0, 2.0]],   # collinear
+    [[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0], [1.5, 1.5]],       # misses the origin
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]],                   # origin on an edge
+], ids=["collinear", "origin-outside", "origin-on-boundary"])
+def test_degenerate_polygon_hull_is_none(pts):
+    assert _hull_layer(np.array(pts)) is None
