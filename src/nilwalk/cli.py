@@ -235,29 +235,40 @@ def _load_algebra(cfg: dict):
     return alg, rep
 
 
-def _emit(cfg: dict, out_dir: str, files: list[str], derived: dict,
+def _emit(cfg: dict, out_dir: str, written: list[str], derived: dict,
           summary: str, documents: dict, **extra) -> list[str]:
-    """Write the JSON documents and manifest.json, then report every artifact.
+    """Write the documents and manifest.json, then report every artifact.
 
-    documents maps artifact names to JSON bodies written here with sorted
-    keys; files lists every artifact, in the order they are reported.  The
-    manifest records the config keys of MANIFEST_CONFIG_KEYS for this kind,
-    the seed, the derived values, any extra top-level fields and a sha256
-    per artifact.  Returns files plus the manifest.
+    written names the artifacts the command wrote itself, documents maps
+    the rest to their bodies: text as it stands, others as JSON with sorted
+    keys.  The manifest records this kind's MANIFEST_CONFIG_KEYS, the seed,
+    the derived values, any extra top-level fields and a sha256 per
+    artifact.  Returns every artifact, in the order reported.
     """
     for name, body in documents.items():
-        write_manifest(os.path.join(out_dir, name), body)
+        path = os.path.join(out_dir, name)
+        if isinstance(body, str):
+            with open(path, "w") as fh:
+                fh.write(body)
+        else:
+            write_manifest(path, body)
+    files = written + list(documents)
     config = {k: cfg[k] for k in MANIFEST_CONFIG_KEYS[cfg["kind"]]
               if k in cfg and cfg[k] is not None}
     doc = dict(extra, schema_version=MANIFEST_SCHEMA_VERSION, kind=cfg["kind"],
                config=config, seed=cfg["seed"], derived=derived)
     doc = attach_file_hashes(doc, out_dir, files)
     write_manifest(os.path.join(out_dir, "manifest.json"), doc)
-    files = files + ["manifest.json"]
+    files.append("manifest.json")
     print(summary)
     for name in files:
         print(f"wrote {os.path.join(out_dir, name)}")
     return files
+
+
+def _filtration_doc(filt) -> dict:
+    return {"kind": filt.kind, "depth": filt.depth, "weights": filt.weights,
+            "layer_dims": filt.layer_dims()}
 
 
 def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
@@ -289,8 +300,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         "abelianized_mean": abelianized_mean(run),
         "scaling_exponent": setup.scaling_exponent,
         "algebra": {"dim": run.alg.dim, "step": run.alg.step},
-        "filtration": {"kind": filt.kind, "depth": filt.depth,
-                       "weights": filt.weights, "layer_dims": filt.layer_dims()},
+        "filtration": _filtration_doc(filt),
         "gauge": {"mode": setup.norm.mode, "sha256": nh,
                   "bilinearity_bound": setup.norm.bilinearity_bound},
         "notes": setup.notes,
@@ -317,15 +327,12 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
 
     write_scan_csv(os.path.join(out_dir, "scan.csv"), scan, preset,
                    cfg["seed"], group.order)
-    files = ["scan.csv", "best-lift.json"]
+    documents = {"best-lift.json": scan.argmin_lift.to_json()}
     if cfg["svg"]:
         counts, edges = scan.histogram
-        svg = render_histogram_svg(counts, edges,
-                                   title=f"{preset}: relator defect at unit dispersion",
-                                   mark=scan.c_hat)
-        with open(os.path.join(out_dir, "scan-hist.svg"), "w") as fh:
-            fh.write(svg)
-        files.append("scan-hist.svg")
+        documents["scan-hist.svg"] = render_histogram_svg(
+            counts, edges, title=f"{preset}: relator defect at unit dispersion",
+            mark=scan.c_hat)
 
     derived = {
         "c_hat": scan.c_hat,
@@ -336,10 +343,9 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
         "estimate_note": "empirical upper estimate of the infimum from finite "
                          "sampling, not a certified bound",
     }
-    return _emit(cfg, out_dir, files, derived,
+    return _emit(cfg, out_dir, ["scan.csv"], derived,
                  f"split-scan: c_hat={scan.c_hat:.6g} over {scan.kept} lifts "
-                 f"({scan.skipped} near-sections skipped)",
-                 documents={"best-lift.json": scan.argmin_lift.to_json()})
+                 f"({scan.skipped} near-sections skipped)", documents)
 
 
 def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
@@ -403,7 +409,6 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     p_hat, lo, hi = tail_curve(final, t_grid)
     write_csv(os.path.join(out_dir, "fit-tail.csv"), "tail", {}, ["t", "p", "lo", "hi"],
               np.column_stack([t_grid, p_hat, lo, hi]))
-    files = ["fit-tail.csv"]
 
     if cfg.get("lil_alpha") is not None:
         lil = lil_diagnostic(dyadic, mat, alpha=cfg["lil_alpha"])
@@ -418,25 +423,20 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
             "median_ratio": list(lil.median_ratio),
         }
 
-    files.append("fit-report.json")
-
+    documents = {"fit-report.json": report}
     if cfg["svg"]:
         fitted = None
         if np.isfinite(fit.alpha_tail) and np.isfinite(fit.c1):
             fitted = (fit.c1, fit.c2, fit.alpha_tail)
-        svg = render_tail_svg(t_grid, p_hat, lo, hi, fitted=fitted,
-                              title=f"tail of {col} (largest n)")
-        with open(os.path.join(out_dir, "tail.svg"), "w") as fh:
-            fh.write(svg)
-        files.append("tail.svg")
+        documents["tail.svg"] = render_tail_svg(t_grid, p_hat, lo, hi, fitted=fitted,
+                                                title=f"tail of {col} (largest n)")
 
     derived = {"alpha_moments": fit.alpha_moments,
                "alpha_tail": fit.alpha_tail,
                "flags": list(fit.flags)}
-    return _emit(cfg, out_dir, files, derived,
+    return _emit(cfg, out_dir, ["fit-tail.csv"], derived,
                  f"fit: alpha_moments={fit.alpha_moments:.4g} "
-                 f"alpha_tail={fit.alpha_tail:.4g} flags={list(fit.flags)}",
-                 documents={"fit-report.json": report},
+                 f"alpha_tail={fit.alpha_tail:.4g} flags={list(fit.flags)}", documents,
                  inputs={os.path.basename(path): sha256_file(path)})
 
 
@@ -456,14 +456,12 @@ def cmd_algebra_check(cfg: dict, out_dir: str) -> list[str]:
         "antisymmetry_residual": rep.antisymmetry_residual,
         "jacobi_residual": rep.jacobi_residual,
         "v": v,
-        "filtration": {"kind": filt.kind, "depth": filt.depth,
-                       "weights": filt.weights,
-                       "layer_dims": filt.layer_dims()},
+        "filtration": _filtration_doc(filt),
     }
-    return _emit(cfg, out_dir, ["algebra-report.json"], report,
+    return _emit(cfg, out_dir, [], report,
                  f"algebra-check: dim={alg.dim} step={alg.step} "
                  f"filtration depth={filt.depth} layer_dims={filt.layer_dims()}",
-                 documents={"algebra-report.json": report})
+                 {"algebra-report.json": report})
 
 
 DISPATCH = {

@@ -22,11 +22,14 @@ bracket_hull
     polygon) is built by Andrew's monotone chain and evaluated by an angular
     facet lookup: a binary search over the vertex angles finds the facet the
     ray through x hits, and only it and its two neighbours are evaluated.
-    Hull layers of dimension >= 3 are built by Qhull (scipy.spatial,
-    imported on first use) and take the max over all facets.
+    A 1-D layer is a segment [-b, b], evaluated as |x| / b.
 
 Degenerate layers (dimension zero, or a hull that does not span its
-layer) fall back to scaled euclidean and are flagged.
+layer) and layers of dimension >= 3 fall back to scaled euclidean and are
+flagged.  A hull of N points in dimension k can have on the order of
+N^(k // 2) facets (McMullen's upper bound theorem), and any two homogeneous
+gauges agree up to constants, so the fallback moves the bounds only by
+constants.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class HomogeneousNorm:
     layer_scales: list[float]
     kappa: tuple[float, ...]
     hull_vertices: list[np.ndarray | None]   # layer coords, per weight
-    hull_facets: list[np.ndarray | None]     # rows (a..., b): a.x <= b
+    hull_facets: list[np.ndarray | None]     # rows (a..., b): a.x <= b; 1-D or 2-D
     # 2-D hull layers only: sorted angles of the facets' counter-clockwise
     # start vertices, the layer's hull_facets listed in that order
     hull_angles: list[np.ndarray | None]
@@ -101,10 +104,7 @@ def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.n
         return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
     if norm.hull_angles[i] is not None:
         return _polygon_gauge(norm.hull_angles[i], facets, coords)
-    a, b = facets[:, :-1], facets[:, -1]
-    ratios = np.einsum("...j,fj->...f", coords, a)  # row-independent, unlike BLAS @
-    ratios /= b         # in place: one (rows, facets) temporary per call, not two
-    return np.max(ratios, axis=-1)
+    return np.abs(coords[..., 0]) / facets[0, 1]  # segment: max(x / b, -x / b)
 
 
 def _polygon_gauge(angles: np.ndarray, facets: np.ndarray,
@@ -231,11 +231,12 @@ def _convex_ring(points: np.ndarray) -> list[int]:
 def _hull_layer(vertices: np.ndarray):
     """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}, angles).
 
-    Hull vertices are listed in input order.  A 2-D layer is built by a
-    monotone chain, its facets listed counter-clockwise from the one whose
-    start vertex has the smallest angle; angles holds those start-vertex
-    angles (None for other layers).  Layers of dimension >= 3 use Qhull.
-    Returns None if the hull is degenerate or misses the origin.
+    Hull vertices are listed in input order.  A 1-D layer is the segment
+    [-b, b] with angles None.  A 2-D layer is built by a monotone chain, its
+    facets listed counter-clockwise from the one whose start vertex has the
+    smallest angle; angles holds those start-vertex angles.  Returns None if
+    the hull is degenerate or misses the origin, and for layers of
+    dimension >= 3, which fall back to scaled euclidean.
     """
     k = vertices.shape[1]
     if k == 1:
@@ -243,32 +244,23 @@ def _hull_layer(vertices: np.ndarray):
         if top <= 0.0:
             return None
         return np.array([[top], [-top]]), np.array([[1.0, top], [-1.0, top]]), None
-    rank = np.linalg.matrix_rank(vertices, rtol=1e-10)
-    if rank < k:
+    if k > 2 or np.linalg.matrix_rank(vertices, rtol=1e-10) < k:
         return None
-    angles = None
-    if k == 2:
-        # exact duplicates: keep the first copy, so vertex listings are stable
-        points, first = np.unique(vertices, axis=0, return_index=True)
-        ring = first[_convex_ring(points)]
-        angles = np.arctan2(vertices[ring, 1], vertices[ring, 0])
-        turn = int(np.argmin(angles))
-        ring, angles = np.roll(ring, -turn), np.roll(angles, -turn)
-        s, t = vertices[ring], vertices[np.roll(ring, -1)]
-        # outward unit normals of the counter-clockwise edges s -> t, rounded
-        # as Qhull rounds them
-        a = np.stack([t[:, 1] - s[:, 1], s[:, 0] - t[:, 0]], axis=1)
-        a /= np.sqrt(a[:, 0] ** 2 + a[:, 1] ** 2)[:, None]
-        b = np.sum(a * s, axis=1)
-        kept = ring
-    else:
-        from scipy.spatial import ConvexHull
-        hull = ConvexHull(vertices)
-        a, b = hull.equations[:, :-1], -hull.equations[:, -1]  # a.x - b <= 0
-        kept = hull.vertices
+    # exact duplicates: keep the first copy, so vertex listings are stable
+    points, first = np.unique(vertices, axis=0, return_index=True)
+    ring = first[_convex_ring(points)]
+    angles = np.arctan2(vertices[ring, 1], vertices[ring, 0])
+    turn = int(np.argmin(angles))
+    ring, angles = np.roll(ring, -turn), np.roll(angles, -turn)
+    s, t = vertices[ring], vertices[np.roll(ring, -1)]
+    # outward unit normals of the counter-clockwise edges s -> t, rounded
+    # as Qhull rounds them
+    a = np.stack([t[:, 1] - s[:, 1], s[:, 0] - t[:, 0]], axis=1)
+    a /= np.sqrt(a[:, 0] ** 2 + a[:, 1] ** 2)[:, None]
+    b = np.sum(a * s, axis=1)
     if np.any(b <= 0):  # origin not interior
         return None
-    return vertices[np.sort(kept)], np.hstack([a, b[:, None]]), angles
+    return vertices[np.sort(ring)], np.hstack([a, b[:, None]]), angles
 
 
 def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,

@@ -226,6 +226,15 @@ ENGEL5_JSON = {"dim": 5, "step": 3, "labels": ["x", "y", "xy", "xxy", "yxy"],
                             [3, 2, [[5, -1.0]]]]}
 
 
+def free_step2_json(gens):
+    """Free 2-step algebra on gens generators: [e_i, e_j] = e_k, one new
+    weight-2 basis vector k per pair i < j, so weight 2 has dimension
+    gens (gens - 1) / 2."""
+    pairs = [(i, j) for i in range(1, gens + 1) for j in range(i + 1, gens + 1)]
+    return {"dim": gens + len(pairs), "step": 2,
+            "brackets": [[i, j, [[gens + k, 1.0]]] for k, (i, j) in enumerate(pairs, 1)]}
+
+
 def test_json_round_trip():
     """The sparse bracket table, one pair given as (j, i), reads back as the preset."""
     clone = algebra_from_json(ENGEL5_JSON)

@@ -8,8 +8,9 @@ Every dataclass field must be read as an attribute somewhere in
 src/nilwalk; KEEP_FIELDS lists the fields only a message or a test reads.
 The number of settable values is held at or below SETTABLE_CEILING.
 The third-party modules the package imports are exactly its declared
-runtime dependencies, importing the CLI loads no scipy submodule, and a
-preset hull walk or split scan loads neither scipy.spatial nor scipy.linalg.
+runtime dependencies, no module imports scipy.spatial, importing the CLI
+loads no scipy submodule, and a preset hull walk or split scan loads
+neither scipy.spatial nor scipy.linalg.
 """
 
 import ast
@@ -150,16 +151,24 @@ def test_settable_values_stay_at_or_below_ceiling():
         "or make it a constant")
 
 
-def third_party_imports():
-    """Top-level names of the modules outside the standard library that src/nilwalk imports."""
+def imported_names():
+    """Dotted names of the absolute imports in src/nilwalk, at any depth:
+    each module, and each name imported from one (from a import b gives
+    a and a.b)."""
     names = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names)
+                names.add(node.module)
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def third_party_imports():
+    """Top-level names of the modules outside the standard library that src/nilwalk imports."""
+    return {name.split(".")[0] for name in imported_names()} - set(sys.stdlib_module_names)
 
 
 def test_imports_are_the_declared_runtime_dependencies():
@@ -167,6 +176,14 @@ def test_imports_are_the_declared_runtime_dependencies():
     project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[<>=!~;\[ ]", dep)[0] for dep in project["dependencies"]}
     assert third_party_imports() == declared == RUNTIME_DEPENDENCIES
+
+
+def test_no_module_imports_scipy_spatial():
+    """Hull layers are segments or polygons, built in numpy; a layer of
+    dimension >= 3 falls back to the scaled gauge, so nothing needs Qhull."""
+    spatial = sorted(name for name in imported_names()
+                     if name == "scipy.spatial" or name.startswith("scipy.spatial."))
+    assert not spatial, f"src/nilwalk imports {spatial}"
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -189,8 +206,7 @@ def test_cli_import_loads_no_schema_library_or_scipy_submodule():
     ["split-scan", "--preset", "d4-r2", "--reps", "32"],
 ], ids=["engel5-hull-walk", "d4-split-scan"])
 def test_preset_commands_load_no_hull_or_linalg_module(argv, tmp_path):
-    """Polygon hulls and block-diagonal lift maps are built in numpy; only
-    hull layers of dimension >= 3 need Qhull."""
+    """Hull layers and block-diagonal lift maps are built in numpy."""
     loaded = loaded_modules("from nilwalk.cli import main\n"
                             f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0")
     assert not {"scipy.spatial", "scipy.linalg"} & loaded

@@ -15,7 +15,7 @@ from nilwalk.manifest import read_csv_columns, sha256_file
 from nilwalk.semidirect import finite_group
 from nilwalk.splitting import Lift, delta
 
-from test_algebra import ENGEL5_JSON
+from test_algebra import ENGEL5_JSON, free_step2_json
 
 
 def run(args):
@@ -291,6 +291,28 @@ def test_replay_split_scan(tmp_path):
                 "--out", src]) == 0
     assert run(["replay", "--manifest", src / "manifest.json",
                 "--out", tmp_path / "again"]) == 0
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["fit", "--svg", "--lil-alpha", "0.5", "--bootstrap", 20],
+     {"fit-tail.csv", "fit-report.json", "tail.svg"}),
+    (["split-scan", "--preset", "d4-r2", "--reps", 64, "--svg"],
+     {"scan.csv", "best-lift.json", "scan-hist.svg"}),
+    (["algebra-check", "--preset", "heisenberg", "--v", "1,0,0"], {"algebra-report.json"}),
+], ids=["fit-svg-lil", "split-scan-svg", "algebra-check-v"])
+def test_replay_reruns_each_kind_and_writes_only_its_files(tmp_path, argv, files):
+    """Each output directory, the first run's and the replay's, holds
+    exactly the manifest's files and the manifest."""
+    if argv[0] == "fit":
+        assert run(["walk", "--preset", "heisenberg-srw", "--n", 64, "--reps", 60,
+                    "--out", tmp_path / "w"]) == 0
+        argv = argv + ["--csv", tmp_path / "w" / "walk.csv"]
+    src, again = tmp_path / "src", tmp_path / "again"
+    assert run(argv + ["--out", src]) == 0
+    assert run(["replay", "--manifest", src / "manifest.json", "--out", again]) == 0
+    assert set(read_json(src / "manifest.json")["files"]) == files
+    for out in (src, again):
+        assert {path.name for path in out.iterdir()} == files | {"manifest.json"}
 
 
 @pytest.mark.parametrize("name", ["../c.json", "ghost.csv"])
@@ -633,6 +655,22 @@ def test_inline_walk_config_runs(tmp_path):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(INLINE_WALK))
     assert run(["walk", "--config", cfgp, "--out", tmp_path / "o"]) == 0
+
+
+def test_walk_on_a_six_dimensional_layer_falls_back(tmp_path):
+    """The free 2-step algebra on 4 generators has a 6-D weight-2 layer, whose
+    hull could have ~N^3 facets: the gauge falls back there and says so."""
+    alg = free_step2_json(4)
+    dim = alg["dim"]
+    atoms = [{"p": 0.125, "xi": [s * float(c == g) for c in range(dim)], "kappa": 0}
+             for g in range(4) for s in (1.0, -1.0)]
+    eye = [[float(r == c) for c in range(dim)] for r in range(dim)]
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(inline_walk(algebra=alg, distribution={
+        "atoms": atoms, "Q": {"matrices": [eye]}}, n=8, reps=16)))
+    assert run(["walk", "--config", cfgp, "--out", tmp_path / "o"]) == 0
+    notes = read_json(tmp_path / "o" / "manifest.json")["derived"]["notes"]
+    assert "hull construction degenerate on weights (2,); scaled gauge used there" in notes
 
 
 @pytest.mark.parametrize("rows, flag", [

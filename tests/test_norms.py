@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilwalk.algebra import (NilpotentAlgebra, layer_components,
+from nilwalk.algebra import (NilpotentAlgebra, algebra_from_json, layer_components,
                              lower_central_filtration, weighted_filtration)
 from nilwalk.norms import (DEFAULT_HULL_SAMPLES, _build_hull_layer, _hull_layer,
                            _layer_gauge, _polygon_gauge, bilinearity_constant,
@@ -15,6 +15,7 @@ from nilwalk.presets import (abelian_algebra, filiform_algebra,
 
 from oracles import polygon_gauge_oracle, qhull_polytope, rotate_basis
 from schema_defaults import with_defaults
+from test_algebra import free_step2_json
 
 
 def _gauges(alg, seed=0):
@@ -112,15 +113,23 @@ def test_abelian_single_layer_is_euclidean_scale():
     assert hom_norm(norm, x) == pytest.approx(5.0 / norm.layer_scales[0])
 
 
-def test_hull_fallback_flagged_on_empty_middle_layer():
-    """Adapted Heisenberg filtration has an empty weight-2 layer."""
-    alg = heisenberg_algebra()
-    filt = weighted_filtration(alg, np.array([1.0, 0.0, 0.0]))
+@pytest.mark.parametrize("alg, filtration, fallback", [
+    (heisenberg_algebra(), lambda alg: weighted_filtration(alg, np.array([1.0, 0.0, 0.0])),
+     (3,)),
+    (algebra_from_json(free_step2_json(3)), lower_central_filtration, (2,)),
+    (algebra_from_json(free_step2_json(4)), lower_central_filtration, (2,)),
+], ids=["heisenberg-e1", "free2-3gen", "free2-4gen"])
+def test_hull_fallback_flagged_on_empty_middle_layer(alg, filtration, fallback):
+    """Adapted Heisenberg filtration has an empty weight-2 layer, so weight 3
+    has no hull; the free 2-step algebras' weight-2 layers have dimension 3
+    and 6, beyond the segments and polygons the hull builds."""
+    filt = filtration(alg)
     norm = build_gauge(alg, filt, "bracket_hull", seed=0,
                        calibration_pairs=5000, hull_samples=256)
-    assert norm.fallback_weights == (3,)
+    assert norm.fallback_weights == fallback
+    assert norm.hull_facets[fallback[0] - 1] is None
     # still a usable homogeneous gauge
-    x = np.array([0.2, -1.0, 3.0])
+    x = np.resize([0.2, -1.0, 3.0], alg.dim)
     r = 2.0
     assert hom_norm(norm, dilate(filt, r, x)) == pytest.approx(
         r * hom_norm(norm, x), rel=1e-12)
