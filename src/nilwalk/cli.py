@@ -104,6 +104,10 @@ DEFAULTS = {k: p["default"] for k, p in CONFIG_SCHEMA["properties"].items() if "
 PRESETS = {"walk": WALK_PRESETS, "split-scan": SPLIT_PRESETS,
            "algebra-check": ALGEBRA_PRESETS}
 
+# The inputs each kind needs: every key of one alternative, each non-empty.
+NEEDS = {"walk": (("preset",), ("algebra", "distribution")), "split-scan": (("preset",),),
+         "fit": (("csv",),), "algebra-check": (("preset",), ("algebra",))}
+
 
 # Config keys recorded in each kind's manifest, so a replay can rerun it.
 MANIFEST_CONFIG_KEYS = {
@@ -168,7 +172,7 @@ def _check(value, schema: dict, where: str) -> None:
 
 
 def validate_config(cfg: dict) -> dict:
-    """cfg checked against the schema, its kind's keys and presets, with DEFAULTS filled in."""
+    """cfg checked against the schema, its kind's keys, presets and NEEDS, with DEFAULTS in."""
     _check(cfg, CONFIG_SCHEMA, "config")
     unread = sorted(set(cfg) - set(MANIFEST_CONFIG_KEYS[cfg["kind"]]) - {"seed"})
     if unread:
@@ -176,6 +180,10 @@ def validate_config(cfg: dict) -> dict:
     if "preset" in cfg and cfg["preset"] not in PRESETS[cfg["kind"]]:
         raise SchemaError(f"unknown {cfg['kind']} preset {cfg['preset']!r}; "
                           f"choose from {sorted(PRESETS[cfg['kind']])}")
+    needs = NEEDS[cfg["kind"]]
+    if not any(all(cfg.get(key) for key in keys) for keys in needs):
+        raise SchemaError(f"config rejected: {cfg['kind']} needs "
+                          + " or ".join(" + ".join(keys) for keys in needs))
     inline = sorted({"algebra", "distribution"} & set(cfg))
     if "preset" in cfg and inline:
         raise SchemaError(f"config rejected: preset {cfg['preset']!r} ignores {inline}")
@@ -195,9 +203,9 @@ def default_checkpoints(n: int) -> tuple[int, ...]:
 
 def _walk_setup_from_config(cfg: dict):
     """The walk setup for a preset, or for an inline algebra + distribution."""
-    if cfg.get("preset"):
+    if "preset" in cfg:
         name, law = cfg["preset"], None
-    elif "algebra" in cfg and "distribution" in cfg:
+    else:
         alg, _ = _load_algebra(cfg)
         if alg.step > TABLE_CAP:
             raise SchemaError(f"walk needs an algebra of step at most {TABLE_CAP} "
@@ -207,8 +215,6 @@ def _walk_setup_from_config(cfg: dict):
         except ValueError as exc:
             raise SchemaError(f"bad distribution payload: {exc}") from exc
         name = "custom"
-    else:
-        raise SchemaError("walk needs a preset or inline algebra + distribution")
     return build_walk_setup(name, law, eps=cfg.get("eps"), seed=cfg["seed"],
                             gauge_mode=cfg["gauge"],
                             filtration_choice=cfg["filtration"],
@@ -285,10 +291,6 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         raise SchemaError(str(exc)) from exc
     result = monte_carlo(wcfg)
 
-    nh = gauge_hash(setup.norm)
-    write_walk_csv(os.path.join(out_dir, "walk.csv"), result, setup,
-                   cfg["seed"], nh)
-
     base, run, filt = setup.base_dist, setup.dist, setup.norm.filtration
     derived = {
         "R_mu": run.radius,
@@ -301,7 +303,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         "scaling_exponent": setup.scaling_exponent,
         "algebra": {"dim": run.alg.dim, "step": run.alg.step},
         "filtration": _filtration_doc(filt),
-        "gauge": {"mode": setup.norm.mode, "sha256": nh,
+        "gauge": {"mode": setup.norm.mode, "sha256": gauge_hash(setup.norm),
                   "bilinearity_bound": setup.norm.bilinearity_bound},
         "notes": setup.notes,
     }
@@ -309,6 +311,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         derived["cross_check_residual"] = result.cross_residual
     if setup.preset == "r1-flip-eps":
         derived["stay_probability"] = stay_diagnostic(result, run)
+    write_walk_csv(os.path.join(out_dir, "walk.csv"), result, setup.preset, cfg["seed"], derived)
 
     kappa = derived["kappa_mu"]
     kappa_txt = kappa if isinstance(kappa, str) else "%.6g" % kappa
@@ -319,9 +322,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
     """scan isometry lifts for defect ratios"""
-    preset = cfg.get("preset")
-    if not preset:
-        raise SchemaError("split-scan needs a preset")
+    preset = cfg["preset"]
     group = SPLIT_PRESETS[preset][0]()
     scan = delta_ratio_scan(group, cfg["reps"], cfg["seed"])
 
@@ -350,9 +351,7 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     """concentration fits over a walk CSV"""
-    path = cfg.get("csv")
-    if not path:
-        raise SchemaError("fit needs --csv pointing at a walk CSV")
+    path = cfg["csv"]
     try:
         data, names = read_csv_columns(path)
     except ValueError as exc:
@@ -442,8 +441,6 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_algebra_check(cfg: dict, out_dir: str) -> list[str]:
     """validate an algebra and its filtrations"""
-    if "preset" not in cfg and "algebra" not in cfg:
-        raise SchemaError("algebra-check needs a preset or inline algebra")
     alg, rep = _load_algebra(cfg)
     v = np.asarray(cfg.get("v", [0.0] * alg.dim), float)
     if v.size != alg.dim:
@@ -474,6 +471,9 @@ DISPATCH = {
 
 def cmd_replay(manifest_path: str, out_dir: str) -> int:
     """rerun a manifest and verify artifacts"""
+    if os.path.realpath(out_dir) == os.path.dirname(os.path.realpath(manifest_path)):
+        raise SchemaError("replay --out is the manifest's own directory, "
+                          "so the rerun would overwrite the run it checks")
     original = _read_json_object(manifest_path, "manifest")
     expected = original.get("files") or {}
     if not isinstance(expected, dict):
@@ -481,6 +481,7 @@ def cmd_replay(manifest_path: str, out_dir: str) -> int:
     if not expected:
         raise NumericalValidationError("manifest lists no artifacts; replay checks nothing")
     cfg = validate_config(original.get("config", {}))
+    os.makedirs(out_dir, exist_ok=True)
     written = DISPATCH[cfg["kind"]](cfg, out_dir)
     unwritten = [name for name in expected if name not in written]
     if unwritten:
@@ -571,7 +572,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "replay":
-            os.makedirs(args.out, exist_ok=True)
             return cmd_replay(args.manifest, args.out)
         cfg = validate_config(_config_from_args(args))
         os.makedirs(args.out, exist_ok=True)

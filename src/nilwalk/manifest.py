@@ -82,31 +82,32 @@ def write_csv(path: str, kind: str, meta: dict, columns, rows) -> None:
             fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
-def write_walk_csv(path: str, result: SampleMatrix, setup, seed: int,
-                   norm_hash: str) -> None:
-    """One row per replicate and checkpoint; M_scaled is M / n^scaling_exponent."""
+def write_walk_csv(path: str, result: SampleMatrix, preset: str, seed: int,
+                   derived: dict) -> None:
+    """One row per replicate and checkpoint; M_scaled is M / n^scaling_exponent.
+    The header formats derived, the constants the walk's manifest records."""
     r, k = result.running_max.shape
     nl = result.layer_euclid.shape[2]
     ns = np.asarray(result.checkpoints, dtype=float)
+    exponent, kappa = derived["scaling_exponent"], derived["kappa_mu"]
     rows = np.empty((r * k, 6 + nl))
     rows[:, 0] = np.repeat(np.arange(r, dtype=float), k)
     rows[:, 1] = np.tile(ns, r)
     rows[:, 2] = result.running_max.ravel()
-    rows[:, 3] = (result.running_max / ns[None, :] ** setup.scaling_exponent).ravel()
+    rows[:, 3] = (result.running_max / ns[None, :] ** exponent).ravel()
     rows[:, 4] = result.y_norm.ravel()
     rows[:, 5] = result.q_index.ravel()
     rows[:, 6:] = result.layer_euclid.reshape(r * k, nl)
-    d = setup.dist
     meta = {
-        "preset": setup.preset,
+        "preset": preset,
         "seed": seed,
-        "R_mu": _fmt(d.radius),
-        "kappa_mu": "none" if d.kappa_mu is None else _fmt(d.kappa_mu),
-        "v_mu": _vector(d.v_mu),
-        "centering": _vector(setup.base_dist.centering),
-        "conjugated": str(setup.conjugated).lower(),
-        "scaling_exponent": _fmt(setup.scaling_exponent),
-        "gauge": f"{setup.norm.mode} sha256:{norm_hash}",
+        "R_mu": _fmt(derived["R_mu"]),
+        "kappa_mu": kappa if isinstance(kappa, str) else _fmt(kappa),
+        "v_mu": _vector(derived["v_mu"]),
+        "centering": _vector(derived["centering"]),
+        "conjugated": str(derived["conjugated"]).lower(),
+        "scaling_exponent": _fmt(exponent),
+        "gauge": f"{derived['gauge']['mode']} sha256:{derived['gauge']['sha256']}",
     }
     columns = ["replicate", "n", "M", "M_scaled", "y_norm", "q_index"] + \
         [f"layer_{i+1}" for i in range(nl)]

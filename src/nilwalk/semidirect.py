@@ -7,9 +7,10 @@ automorphisms.  Products twist the nilpotent part:
     (xi1, k1) (xi2, k2) = (xi1 * Ad(k1) xi2,  k1 k2)
 
 with * the BCH product; the walk module multiplies.  This module holds
-the twist group Q, checked by q_validate, and the step distribution: a
-finite atomic measure on such pairs, read from JSON by
-distribution_from_json.  Its derived data (drift split, spectral
+the twist group Q and the step distribution: a finite atomic measure on
+such pairs, read from JSON by distribution_from_json.  q_validate raises
+NumericalValidationError, naming each residual, unless Q acts by
+orthogonal automorphisms.  A law's derived data (drift split, spectral
 constant, centering element) are computed eagerly at construction, and
 conjugate_distribution moves the law by the centering element.
 """
@@ -24,6 +25,7 @@ from . import groups
 from .algebra import (NilpotentAlgebra, complement_within, lower_central_filtration,
                       orthonormal_basis, project_onto)
 from .bch import bch
+from .errors import NumericalValidationError
 
 Q_TOL = 1e-10
 EIG_TOL = 1e-8
@@ -50,20 +52,12 @@ def finite_group(mats: np.ndarray) -> FiniteActionGroup:
                              inverse=inverse)
 
 
-@dataclass(frozen=True)
-class QValidation:
-    ok: bool
-    orthogonality_residual: float
-    automorphism_residual: float
-    messages: tuple[str, ...]
-
-
-def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> QValidation:
-    """Check orthogonality and the automorphism property.
+def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> None:
+    """Raise NumericalValidationError unless q acts by orthogonal automorphisms.
 
     Automorphism means Ad(k)[x, y] = [Ad(k) x, Ad(k) y] for every k.
     Closure needs no check here: finite_group refuses a matrix list that
-    is not a closed group.
+    is not a closed group.  The message names each residual above Q_TOL.
     """
     mats = q.matrices
     ortho = float(max(np.max(np.abs(m.T @ m - np.eye(alg.dim))) for m in mats))
@@ -73,13 +67,10 @@ def q_validate(alg: NilpotentAlgebra, q: FiniteActionGroup) -> QValidation:
         left = np.einsum("ijk,mk->ijm", c, m)
         right = np.einsum("ai,bj,abm->ijm", m, m, c)
         auto = max(auto, float(np.max(np.abs(left - right))))
-    msgs = []
-    if ortho > Q_TOL:
-        msgs.append(f"orthogonality residual {ortho:.3e}")
-    if auto > Q_TOL:
-        msgs.append(f"automorphism residual {auto:.3e}")
-    return QValidation(ok=not msgs, orthogonality_residual=ortho,
-                       automorphism_residual=auto, messages=tuple(msgs))
+    msgs = [f"{what} residual {res:.3e}" for what, res in
+            (("orthogonality", ortho), ("automorphism", auto)) if res > Q_TOL]
+    if msgs:
+        raise NumericalValidationError("twist group fails validation: " + "; ".join(msgs))
 
 
 # ---------------------------------------------------------------------------

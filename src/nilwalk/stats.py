@@ -84,7 +84,9 @@ def _fit_alpha_once(tables, t_grid, picks):
         count = np.cumsum(np.bincount(hits, minlength=t_grid.size + 1)[::-1])[::-1]
         p_hat = np.maximum(p_hat, count[1:] / hits.size)
     lp = np.log(np.asarray(MOMENT_ORDERS, dtype=float))
-    slope, intercept = np.polyfit(lp, np.log(fam), 1)
+    with np.errstate(divide="ignore"):  # all-zero samples: log 0 = -inf, so alpha_m is inf
+        log_fam = np.log(fam)
+    slope, intercept = np.polyfit(lp, log_fam, 1)
     alpha_m = 1.0 / slope if slope > 0 else np.inf
     c_m = float(np.exp(intercept))
 

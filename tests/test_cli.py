@@ -40,7 +40,7 @@ def test_default_checkpoints_are_dyadic_plus_endpoint():
 
 
 def test_validate_config_fills_defaults():
-    cfg = validate_config({"schema_version": 1, "kind": "walk"})
+    cfg = validate_config({"schema_version": 1, "kind": "walk", "preset": "heisenberg-srw"})
     assert cfg["seed"] == 0 and cfg["gauge"] == "bracket_hull"
     with pytest.raises(SchemaError):
         validate_config({"schema_version": 2, "kind": "walk"})
@@ -183,6 +183,20 @@ def test_fit_refuses_header_only_csv_without_a_warning(tmp_path, capsys):
     assert len(err) == 1 and "has no data rows" in err[0]
 
 
+def test_fit_on_all_zero_samples_warns_nothing(tmp_path, capsys):
+    """log of a zero family norm is -inf: alpha_moments is null, with no warning."""
+    csv_path = tmp_path / "w.csv"
+    csv_path.write_text(WALK_CSV_COLUMNS + "0,4,0,0,0,0,0\n1,4,0,0,0,0,0\n"
+                        "0,8,0,0,0,0,0\n1,8,0,0,0,0,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", "--csv", csv_path, "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "o" / "fit-report.json")
+    assert report["alpha_moments"] is None
+    assert report["flags"] == ["degenerate-samples", "tail-window-too-narrow"]
+
+
 def test_fit_missing_csv_is_io_error(tmp_path):
     assert run(["fit", "--csv", tmp_path / "nope.csv",
                 "--out", tmp_path / "o"]) == 5
@@ -315,6 +329,28 @@ def test_replay_reruns_each_kind_and_writes_only_its_files(tmp_path, argv, files
         assert {path.name for path in out.iterdir()} == files | {"manifest.json"}
 
 
+@pytest.mark.parametrize("cwd_is_run", [True, False], ids=["default-out", "out-flag"])
+def test_replay_refuses_to_rerun_into_the_manifest_directory(tmp_path, monkeypatch, capsys,
+                                                             cwd_is_run):
+    """A rerun that diverges (another seed) would overwrite the run it checks."""
+    src = tmp_path / "src"
+    assert run(["walk", "--preset", "heisenberg-srw", "--n", 16, "--reps", 8, "--out", src]) == 0
+    man = read_json(src / "manifest.json")
+    man["config"]["seed"] = 1
+    (src / "manifest.json").write_text(json.dumps(man))
+    before = {path.name: path.read_bytes() for path in src.iterdir()}
+    capsys.readouterr()
+    if cwd_is_run:
+        monkeypatch.chdir(src)
+        argv = ["replay", "--manifest", "manifest.json"]
+    else:
+        argv = ["replay", "--manifest", src / "manifest.json", "--out", src / ".." / "src"]
+    assert run(argv) == 2
+    assert {path.name: path.read_bytes() for path in src.iterdir()} == before
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "manifest's own directory" in err[0]
+
+
 @pytest.mark.parametrize("name", ["../c.json", "ghost.csv"])
 def test_replay_refuses_a_file_the_rerun_does_not_write(tmp_path, capsys, name):
     """A listed file outside what the rerun writes is a mismatch (4), whether
@@ -363,6 +399,34 @@ FILIFORM8_WALK = inline_walk(algebra=FILIFORM8, distribution={
 NO_FILES_MANIFEST = {"schema_version": 1, "kind": "algebra-check",
                "config": {"schema_version": 1, "kind": "algebra-check",
                           "preset": "heisenberg"}, "seed": 0}
+
+
+def manifest_lacking_input(kind, artifact, **config):
+    """A manifest of kind whose config lacks the input kind needs."""
+    return json.dumps({"schema_version": 1, "kind": kind, "seed": 0,
+                       "config": dict(config, schema_version=1, kind=kind),
+                       "files": {artifact: "0" * 64}})
+
+
+# (id, file name -> file text, argv before --out): a required input missing
+MISSING_INPUT = [
+    ("walk-no-preset-or-law", {}, ["walk", "--n", "4", "--reps", "2"]),
+    ("walk-algebra-without-distribution", {"c.json": json.dumps(
+        {"schema_version": 1, "kind": "walk", "algebra": HEIS})},
+     ["walk", "--config", "c.json"]),
+    ("split-scan-no-preset", {}, ["split-scan", "--reps", "8"]),
+    ("fit-no-csv", {}, ["fit", "--bootstrap", "5"]),
+    ("algebra-check-no-preset-or-algebra", {}, ["algebra-check", "--v", "1,0,0"]),
+    ("manifest-walk-no-preset", {"m.json": manifest_lacking_input(
+        "walk", "walk.csv", n=4, reps=2)}, ["replay", "--manifest", "m.json"]),
+    ("manifest-split-scan-no-preset", {"m.json": manifest_lacking_input(
+        "split-scan", "scan.csv", reps=8)}, ["replay", "--manifest", "m.json"]),
+    ("manifest-fit-no-csv", {"m.json": manifest_lacking_input(
+        "fit", "fit-tail.csv", bootstrap=5)}, ["replay", "--manifest", "m.json"]),
+    ("manifest-algebra-check-no-preset", {"m.json": manifest_lacking_input(
+        "algebra-check", "algebra-report.json", v=[1, 0, 0])},
+     ["replay", "--manifest", "m.json"]),
+]
 
 WALK_CSV_COLUMNS = "# columns: replicate n M M_scaled y_norm q_index layer_1\n"
 WALK_CSV_ROWS = "0,4,1,1,1,0,1\n1,4,2,2,2,0,2\n0,8,3,1.5,3,0,3\n1,8,1,0.5,1,0,1\n"
@@ -606,6 +670,26 @@ def test_malformed_input_exits_cleanly(tmp_path, capsys, files, argv, code):
     got, err = run_malformed(tmp_path, capsys, files, argv)
     assert got == code
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("files, argv", [case[1:] for case in MISSING_INPUT],
+                         ids=[case[0] for case in MISSING_INPUT])
+def test_missing_input_is_refused_before_out_is_made(tmp_path, capsys, files, argv):
+    got, err = run_malformed(tmp_path, capsys, files, argv)
+    assert got == 2
+    assert len(err) == 1 and err[0].startswith("error: config rejected: ") and " needs " in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_walk_twist_group_error_names_its_residual(tmp_path, capsys):
+    """Negating e1 alone negates [e1, e2] = e3 but fixes e3: residual 2."""
+    flip_e1 = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(inline_walk(distribution=dict(
+        INLINE_WALK["distribution"], Q={"matrices": flip_e1}))))
+    assert run(["walk", "--config", cfgp, "--out", tmp_path / "o"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: twist group fails validation: automorphism residual 2.000e+00"]
 
 
 @pytest.mark.parametrize("case, key", [("walk-no-atoms", "config.distribution.atoms"),
