@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceCeilingError
+from .errors import NumericalValidationError, ResourceCeilingError
 
 RANK_RTOL = 1e-10
 VALIDATE_TOL = 1e-12
@@ -114,16 +114,8 @@ class NilpotentAlgebra:
         return np.einsum("i,ijk->kj", np.asarray(x, dtype=float), self.tensor)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    antisymmetry_residual: float
-    jacobi_residual: float
-    messages: tuple[str, ...]
-
-
-def validate_algebra(alg: NilpotentAlgebra) -> ValidationReport:
-    """Check antisymmetry, the Jacobi identity, and the declared step."""
+def algebra_residuals(alg: NilpotentAlgebra) -> tuple[float, float]:
+    """(antisymmetry, Jacobi) residuals: max |c_ijk + c_jik| and max |Jacobi sum|."""
     c = alg.tensor
     anti = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))))) if alg.dim else 0.0
     # Jacobi on basis triples, one e_a at a time so temporaries stay dim^3:
@@ -132,26 +124,24 @@ def validate_algebra(alg: NilpotentAlgebra) -> ValidationReport:
                            + np.einsum("cmk,bm->bck", c, c[a])
                            + np.einsum("bmk,cm->bck", c, c[:, a])))
              for a in range(alg.dim)]
-    jacobi = float(np.max(peaks)) if peaks else 0.0
-    msgs = []
+    return anti, float(np.max(peaks)) if peaks else 0.0
+
+
+def validate_algebra(alg: NilpotentAlgebra) -> tuple[float, float]:
+    """algebra_residuals of a nilpotent Lie bracket of the declared step; raises
+    NumericalValidationError naming each check the tensor fails."""
+    anti, jacobi = algebra_residuals(alg)
+    msgs = [f"{name} residual {r:.3e} exceeds {VALIDATE_TOL:.1e}"
+            for name, r in (("antisymmetry", anti), ("jacobi", jacobi)) if r > VALIDATE_TOL]
     try:
-        series = lower_central_series(alg)
-        found_step = len(series) - 1  # [gamma_1, ..., gamma_s, gamma_{s+1} = 0]
+        found_step = len(lower_central_series(alg)) - 1  # gamma_1 .. gamma_s, then 0
+        if found_step != alg.step:
+            msgs.append(f"computed step {found_step} != declared step {alg.step}")
     except ValueError:
-        found_step = -1
-        msgs.append("lower central series does not terminate; not nilpotent")
-    if anti > VALIDATE_TOL:
-        msgs.append(f"antisymmetry residual {anti:.3e} exceeds {VALIDATE_TOL:.1e}")
-    if jacobi > VALIDATE_TOL:
-        msgs.append(f"jacobi residual {jacobi:.3e} exceeds {VALIDATE_TOL:.1e}")
-    if found_step >= 0 and found_step != alg.step:
-        msgs.append(f"computed step {found_step} != declared step {alg.step}")
-    return ValidationReport(
-        ok=not msgs,
-        antisymmetry_residual=anti,
-        jacobi_residual=jacobi,
-        messages=tuple(msgs),
-    )
+        msgs.insert(0, "lower central series does not terminate; not nilpotent")
+    if msgs:
+        raise NumericalValidationError("structure tensor rejected: " + "; ".join(msgs))
+    return anti, jacobi
 
 
 # ---------------------------------------------------------------------------

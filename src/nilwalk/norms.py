@@ -5,10 +5,10 @@ of u is max_i phi_i(u_i)^(1/i).  It scales linearly under the adapted
 dilations D_r (r^i on the weight-i layer).  Two constructions:
 
 scaled_euclidean
-    phi_i = euclidean / lambda_i.  Layer one is plain euclidean.  The
-    scales start from kappa-derived values and are doubled until a sampled
-    bilinearity constant drops to <= 1, which is what the concentration
-    arguments need.
+    phi_i = euclidean / lambda_i.  Layer one is plain euclidean.  Each scale
+    starts from a kappa-derived value times the smallest power of two that
+    brings a sampled bilinearity constant to <= 1 (exactly: a power of two
+    divides each sampled value exactly), as the concentration arguments need.
 
 bracket_hull
     Layer one is euclidean; the weight-i unit ball is the convex hull of
@@ -40,6 +40,7 @@ import numpy as np
 
 from .algebra import RANK_RTOL, Filtration, NilpotentAlgebra, layer_components
 from .bch import TABLE_CAP, bch, dynkin_table
+from .errors import NumericalValidationError
 from .rng import STREAM_GAUGE, substream
 
 DEFAULT_CALIBRATION_PAIRS = 100_000
@@ -244,7 +245,7 @@ def _hull_layer(vertices: np.ndarray):
         if top <= 0.0:
             return None
         return np.array([[top], [-top]]), np.array([[1.0, top], [-1.0, top]]), None
-    if k > 2 or np.linalg.matrix_rank(vertices, rtol=1e-10) < k:
+    if k > 2 or np.linalg.matrix_rank(vertices, rtol=RANK_RTOL) < k:
         return None
     # exact duplicates: keep the first copy, so vertex listings are stable
     points, first = np.unique(vertices, axis=0, return_index=True)
@@ -292,18 +293,18 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
             norm.fallback_weights += (w,)
         # scaled euclidean path (scaled_euclidean mode, or hull fallback)
         scales = norm.layer_scales
-        scales[i] = max(kap[i] * ce * scales[i - 1], 1e-300)
+        scales[i] = kap[i] * ce * scales[i - 1]
         rng = substream(seed, STREAM_GAUGE, 3, w)
-        for _ in range(200):
-            u = _sample_ball(rng, norm, per_layer_pairs, w - 1)
-            v = _sample_ball(rng, norm, per_layer_pairs, w - 1)
-            prod_coords = alg.bracket(u, v) @ basis.T
-            worst = float(np.max(_layer_gauge(norm, w, prod_coords)))
-            if worst <= 1.0:
-                break
-            scales[i] *= 2.0
-        else:
-            raise RuntimeError(f"gauge calibration did not converge at weight {w}")
+        u = _sample_ball(rng, norm, per_layer_pairs, w - 1)
+        v = _sample_ball(rng, norm, per_layer_pairs, w - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            worst = float(np.max(_layer_gauge(norm, w, alg.bracket(u, v) @ basis.T)))
+            if worst > 1.0:  # the smallest k with worst / 2^k <= 1
+                mant, exp = np.frexp(worst)
+                scales[i] = float(np.ldexp(scales[i], exp - (mant == 0.5)))
+        if not (np.isfinite(worst) and np.isfinite(scales[i])):
+            raise NumericalValidationError(f"gauge calibration is not finite at weight {w}: "
+                                           f"constant {worst:.3e}, scale {scales[i]:.3e}")
 
     norm.bilinearity_bound = bilinearity_constant(
         norm, alg, n_pairs=min(20_000, calibration_pairs), seed=seed)

@@ -100,6 +100,7 @@ def _fit_alpha_once(tables, t_grid, picks):
     return alpha_m, c_m, alpha_t, p_hat, mask, fam
 
 
+@np.errstate(over="ignore")  # flagged moment-overflow or tail-overflow instead
 def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
               seed: int) -> ConcentrationFit:
     """Joint concentration-exponent fit for a family of sample groups.
@@ -120,6 +121,8 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
               for g in groups]
     alpha_m, c_m, alpha_t, p_hat, mask, fam = _fit_alpha_once(tables, t_grid,
                                                               [slice(None)] * len(groups))
+    if not np.isfinite(fam).all():
+        flags.append("moment-overflow")
     if mask.sum() < 3:
         flags.append("tail-window-too-narrow")
 
@@ -138,8 +141,11 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
     c1, c2 = np.nan, np.nan
     if np.isfinite(alpha_t) and mask.sum() >= 2:
         design = t_grid[mask] ** alpha_t
-        a, b = np.polyfit(design, np.log(p_hat[mask]), 1)
-        c1, c2 = float(-a), float(np.exp(b))
+        if np.isfinite(design @ design):  # polyfit scales by the root sum of squares
+            a, b = np.polyfit(design, np.log(p_hat[mask]), 1)
+            c1, c2 = float(-a), float(np.exp(b))
+        else:
+            flags.append("tail-overflow")
 
     if np.isfinite(alpha_m) and alpha_m > BOUNDED_SUPPORT_ALPHA and \
             (not np.isfinite(alpha_t) or alpha_t > BOUNDED_SUPPORT_ALPHA):

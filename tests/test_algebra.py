@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from nilwalk import algebra
 from nilwalk.algebra import (MAX_DIM, NilpotentAlgebra, algebra_from_json,
                              layer_components, lower_central_filtration,
-                             lower_central_series, validate_algebra,
-                             weighted_filtration)
-from nilwalk.errors import ResourceCeilingError
+                             algebra_residuals, lower_central_series,
+                             validate_algebra, weighted_filtration)
+from nilwalk.errors import NumericalValidationError, ResourceCeilingError
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
@@ -23,24 +23,22 @@ PRESET_ALGEBRAS = [heisenberg_algebra(), filiform_algebra(4),
 
 def test_validate_accepts_presets():
     for alg in PRESET_ALGEBRAS:
-        rep = validate_algebra(alg)
-        assert rep.ok, rep.messages
-        assert rep.antisymmetry_residual <= 1e-12
-        assert rep.jacobi_residual <= 1e-12
+        anti, jacobi = validate_algebra(alg)
+        assert anti <= 1e-12
+        assert jacobi <= 1e-12
 
 
 def test_validate_rejects_broken_antisymmetry():
     t = np.zeros((2, 2, 2))
     t[0, 1, 1] = 1.0  # missing the mirrored entry
-    rep = validate_algebra(NilpotentAlgebra(dim=2, step=1, tensor=t))
-    assert not rep.ok
-    assert any("antisymmetry" in m for m in rep.messages)
+    with pytest.raises(NumericalValidationError, match="antisymmetry"):
+        validate_algebra(NilpotentAlgebra(dim=2, step=1, tensor=t))
 
 
 def test_validate_rejects_wrong_step():
     alg = heisenberg_algebra()
-    rep = validate_algebra(NilpotentAlgebra(dim=3, step=3, tensor=alg.tensor))
-    assert not rep.ok
+    with pytest.raises(NumericalValidationError, match="structure tensor rejected"):
+        validate_algebra(NilpotentAlgebra(dim=3, step=3, tensor=alg.tensor))
 
 
 def test_jacobi_violation_detected():
@@ -48,8 +46,8 @@ def test_jacobi_violation_detected():
     t = np.zeros((3, 3, 3))
     t[0, 1, 2], t[1, 0, 2] = 1.0, -1.0
     t[0, 2, 0], t[2, 0, 0] = 1.0, -1.0
-    rep = validate_algebra(NilpotentAlgebra(dim=3, step=2, tensor=t))
-    assert not rep.ok
+    with pytest.raises(NumericalValidationError, match="structure tensor rejected"):
+        validate_algebra(NilpotentAlgebra(dim=3, step=2, tensor=t))
 
 
 def test_jacobi_residual_matches_dense_oracle():
@@ -62,7 +60,7 @@ def test_jacobi_residual_matches_dense_oracle():
             tensors.append(t - t.transpose(1, 0, 2))
     for t in tensors:
         alg = NilpotentAlgebra(dim=t.shape[0], step=1, tensor=t)
-        assert validate_algebra(alg).jacobi_residual == jacobi_residual_dense(t)
+        assert algebra_residuals(alg)[1] == jacobi_residual_dense(t)
 
 
 def test_lower_central_series_heisenberg():
@@ -253,7 +251,7 @@ def test_json_dim_ceiling():
 @settings(max_examples=20, deadline=None)
 def test_abelian_any_dim(dim):
     alg = abelian_algebra(dim)
-    assert validate_algebra(alg).ok
+    validate_algebra(alg)
     filt = lower_central_filtration(alg)
     assert filt.depth == 1
     assert filt.layer_dims() == (dim,)

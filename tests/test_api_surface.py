@@ -4,6 +4,7 @@ Every module-level function or class under src/nilwalk, and every public
 method, must be referenced from src/nilwalk outside its own definition,
 by code that is itself in use.  KEEP lists the names whose only callers
 live outside the package: the acceptance criteria and the benchmark shim.
+Every name the benchmark shim must wrap resolves to a callable.
 Every dataclass field must be read as an attribute somewhere in
 src/nilwalk; KEEP_FIELDS lists the fields only a message or a test reads.
 The number of settable values is held at or below SETTABLE_CEILING.
@@ -14,6 +15,8 @@ hull walk or split scan loads neither scipy.spatial nor scipy.linalg.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -211,3 +214,20 @@ def test_preset_commands_load_no_hull_or_linalg_module(argv, tmp_path):
     loaded = loaded_modules("from nilwalk.cli import main\n"
                             f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0")
     assert not {"scipy.spatial", "scipy.linalg"} & loaded
+
+
+def test_benchmark_shim_names_resolve():
+    """benchmarks/shim.py wraps PHASE_HOOKS with required=True and reads
+    nilwalk.walker.thread_cap after every command: a missing name fails
+    every benchmark run."""
+    path = SRC.parent.parent / "benchmarks" / "shim.py"
+    spec = importlib.util.spec_from_file_location("nilwalk_benchmark_shim", path)
+    shim = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shim)
+    required = [(owner, attr) for owner, attr, _, _ in shim.PHASE_HOOKS]
+    required.append(("nilwalk.walker", "thread_cap"))
+    for owner, _ in required:
+        importlib.import_module(owner)
+    missing = [f"{owner}.{attr}" for owner, attr in required
+               if not callable(getattr(shim._resolve(owner), attr, None))]
+    assert not missing, f"the benchmark shim needs {missing}"

@@ -197,6 +197,25 @@ def test_fit_on_all_zero_samples_warns_nothing(tmp_path, capsys):
     assert report["flags"] == ["degenerate-samples", "tail-window-too-narrow"]
 
 
+def test_fit_flags_moment_and_tail_overflow_and_warns_nothing(tmp_path, capsys):
+    """On samples near 1e30, g ** 16 overflows (moment-overflow), and so does
+    the sum of squares of t ** alpha_tail that the tail-constant fit scales
+    by (tail-overflow, c1 and c2 null); no numpy warning is printed."""
+    rows = "".join(f"{r},{n},{v},{v},{v},0,{v}\n" for n in (4, 8)
+                   for r, v in enumerate(np.linspace(1e30, 3e30, 40)))
+    csv_path = tmp_path / "w.csv"
+    csv_path.write_text(WALK_CSV_COLUMNS + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", "--csv", csv_path, "--bootstrap", "20",
+                    "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_json(tmp_path / "o" / "fit-report.json")
+    assert report["family_norms"][-1] is None
+    assert report["c1"] is None and report["c2"] is None
+    assert report["flags"] == ["moment-overflow", "tail-overflow"]
+
+
 def test_fit_missing_csv_is_io_error(tmp_path):
     assert run(["fit", "--csv", tmp_path / "nope.csv",
                 "--out", tmp_path / "o"]) == 5
@@ -652,6 +671,14 @@ MALFORMED = [
      ["walk", "--preset", "heisenberg-srw", "--filtration", "upper"], 2),
     ("walk-unknown-conjugate", {},
      ["walk", "--preset", "heisenberg-srw", "--conjugate", "sometimes"], 2),
+    # values that leave the double range: in the gauge calibration, or in the walk
+    ("walk-gauge-calibration-not-finite", {"c.json": json.dumps(inline_walk(
+        algebra=dict(HEIS, brackets=[[1, 2, [[3, 1e300]]]])))},
+     ["walk", "--config", "c.json", "--gauge", "scaled_euclidean"], 4),
+    ("walk-values-not-finite", {"c.json": json.dumps(inline_walk(n=16, reps=8, distribution={
+        "atoms": [{"p": 0.5, "xi": [s, 1e300, 0], "kappa": 0} for s in (1e300, -1e300)],
+        "Q": {"matrices": [C2["matrices"][0]]}}))},
+     ["walk", "--config", "c.json"], 4),
 ]
 
 
@@ -679,6 +706,20 @@ def test_missing_input_is_refused_before_out_is_made(tmp_path, capsys, files, ar
     assert got == 2
     assert len(err) == 1 and err[0].startswith("error: config rejected: ") and " needs " in err[0]
     assert not (tmp_path / "o").exists()
+
+
+def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
+    """The gauge calibration names its weight, the walk its replicate and n;
+    a walk whose values left the range writes no walk.csv."""
+    for case, line in [("walk-gauge-calibration-not-finite",
+                        "error: gauge calibration is not finite at weight 2: "
+                        "constant inf, scale 1.131e+301"),
+                       ("walk-values-not-finite", "error: walk left the floating-point "
+                        "range: replicate 0 is not finite at n=4")]:
+        files, argv, _ = next(row[1:] for row in MALFORMED if row[0] == case)
+        (tmp_path / case).mkdir()
+        assert run_malformed(tmp_path / case, capsys, files, argv) == (4, [line])
+        assert not (tmp_path / case / "o" / "walk.csv").exists()
 
 
 def test_walk_twist_group_error_names_its_residual(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilwalk.algebra import (NilpotentAlgebra, algebra_from_json, layer_components,
                              lower_central_filtration, weighted_filtration)
+from nilwalk.errors import NumericalValidationError
 from nilwalk.norms import (DEFAULT_HULL_SAMPLES, _build_hull_layer, _hull_layer,
                            _layer_gauge, _polygon_gauge, bilinearity_constant,
                            build_gauge,
@@ -16,6 +17,12 @@ from nilwalk.presets import (abelian_algebra, filiform_algebra,
 from oracles import polygon_gauge_oracle, qhull_polytope, rotate_basis
 from schema_defaults import with_defaults
 from test_algebra import free_step2_json
+
+# Free 4-step algebra on e1, e2, in the Hall basis: layer dims 2, 1, 2, 3.
+# [e2, e3] = -e5 and [e1, e5] = e7 meet in e7, as the Jacobi identity asks.
+FREE_STEP4_JSON = {"dim": 8, "step": 4, "brackets": [
+    [1, 2, [[3, 1.0]]], [3, 1, [[4, 1.0]]], [3, 2, [[5, 1.0]]], [4, 1, [[6, 1.0]]],
+    [4, 2, [[7, 1.0]]], [5, 1, [[7, 1.0]]], [5, 2, [[8, 1.0]]]]}
 
 
 def _gauges(alg, seed=0):
@@ -118,11 +125,14 @@ def test_abelian_single_layer_is_euclidean_scale():
      (3,)),
     (algebra_from_json(free_step2_json(3)), lower_central_filtration, (2,)),
     (algebra_from_json(free_step2_json(4)), lower_central_filtration, (2,)),
-], ids=["heisenberg-e1", "free2-3gen", "free2-4gen"])
+    (algebra_from_json(FREE_STEP4_JSON), lower_central_filtration, (4,)),
+], ids=["heisenberg-e1", "free2-3gen", "free2-4gen", "free4-2gen"])
 def test_hull_fallback_flagged_on_empty_middle_layer(alg, filtration, fallback):
     """Adapted Heisenberg filtration has an empty weight-2 layer, so weight 3
     has no hull; the free 2-step algebras' weight-2 layers have dimension 3
-    and 6, beyond the segments and polygons the hull builds."""
+    and 6, beyond the segments and polygons the hull builds.  The free 4-step
+    algebra's 3-D weight-4 layer falls back on top of hull layers, so its
+    sampled constant starts above 1 and the scale takes a power of two."""
     filt = filtration(alg)
     norm = build_gauge(alg, filt, "bracket_hull", seed=0,
                        calibration_pairs=5000, hull_samples=256)
@@ -133,6 +143,29 @@ def test_hull_fallback_flagged_on_empty_middle_layer(alg, filtration, fallback):
     r = 2.0
     assert hom_norm(norm, dilate(filt, r, x)) == pytest.approx(
         r * hom_norm(norm, x), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coefficient", [1e300, 1e308])
+def test_calibration_refuses_a_constant_or_scale_that_is_not_finite(coefficient):
+    """[e1, e2] = c e3.  At 1e300 the sampled constant overflows to inf; at
+    1e308 the scale is inf too, and the constant inf / inf is NaN."""
+    alg = algebra_from_json({"dim": 3, "step": 2, "brackets": [[1, 2, [[3, coefficient]]]]})
+    with pytest.raises(NumericalValidationError, match="not finite at weight 2: constant"):
+        build_gauge(alg, lower_central_filtration(alg), "scaled_euclidean", seed=0,
+                    calibration_pairs=1000, hull_samples=64)
+
+
+def test_calibration_refuses_a_nan_constant_with_a_finite_scale(monkeypatch):
+    """A NaN sampled constant is refused, not read as "no rescale": the test
+    is on the constant itself, since max(0.0, nan) is 0.0."""
+    monkeypatch.setattr(NilpotentAlgebra, "bracket",
+                        lambda self, x, y: np.full(np.shape(x), np.nan))
+    alg = heisenberg_algebra()
+    with pytest.raises(NumericalValidationError,
+                       match="weight 2: constant nan, scale 1.131e\\+01"):
+        build_gauge(alg, lower_central_filtration(alg), "scaled_euclidean", seed=0,
+                    calibration_pairs=1000, hull_samples=64)
 
 
 @pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8)], ids=["e1", "off-axis"])

