@@ -32,7 +32,7 @@ from .manifest import (MANIFEST_SCHEMA_VERSION, attach_file_hashes, gauge_hash,
                        write_scan_csv, write_walk_csv)
 from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS, build_walk_setup,
                       stay_diagnostic)
-from .semidirect import abelianized_mean, distribution_from_json
+from .semidirect import distribution_from_json
 from .splitting import delta_ratio_scan
 from .stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
                     render_tail_svg, tail_curve)
@@ -300,7 +300,7 @@ def cmd_walk(cfg: dict, out_dir: str) -> list[str]:
         "v_mu": run.v_mu,
         "centering": base.centering,
         "conjugated": setup.conjugated,
-        "abelianized_mean": abelianized_mean(run),
+        "abelianized_mean": run.abelianized_mean,
         "scaling_exponent": setup.scaling_exponent,
         "algebra": {"dim": run.alg.dim, "step": run.alg.step},
         "filtration": _filtration_doc(filt),
@@ -384,21 +384,8 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
                 raise SchemaError(f"{path}: n={int(nv)} does not have one row per replicate")
             mat[:, j] = rows[order, yi]
     fit = fit_alpha(samples, seed=cfg["seed"], n_bootstrap=cfg["bootstrap"])
-
-    report = {
-        "column": col,
-        "groups": {str(int(nv)): int(v.size) for nv, v in samples.items()},
-        "alpha_moments": fit.alpha_moments,
-        "alpha_moments_ci": list(fit.alpha_moments_ci),
-        "alpha_tail": fit.alpha_tail,
-        "alpha_tail_ci": list(fit.alpha_tail_ci),
-        "c_moment": fit.c_moment,
-        "c1": fit.c1,
-        "c2": fit.c2,
-        "moment_orders": list(fit.moment_orders),
-        "family_norms": list(fit.family_norms),
-        "flags": list(fit.flags),
-    }
+    report = {"column": col,
+              "groups": {str(int(nv)): int(v.size) for nv, v in samples.items()}, **fit}
 
     final = samples[int(ns[-1])]
     pos = np.abs(final[np.abs(final) > 0])
@@ -411,32 +398,20 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
               np.column_stack([t_grid, p_hat, lo, hi]))
 
     if cfg.get("lil_alpha") is not None:
-        lil = lil_diagnostic(dyadic, mat, alpha=cfg["lil_alpha"])
-        report["lil"] = {
-            "alpha": lil.alpha,
-            "dyadic_n": list(lil.dyadic_n),
-            "median_c": lil.median_c,
-            "c_hat_quartiles": [float(q) for q in
-                                np.percentile(lil.c_hat, [25, 50, 75])],
-            "frac_peak_top": lil.frac_peak_top,
-            "unbounded_flag": lil.unbounded_flag,
-            "median_ratio": list(lil.median_ratio),
-        }
+        report["lil"] = lil_diagnostic(dyadic, mat, alpha=cfg["lil_alpha"])
 
     documents = {"fit-report.json": report}
     if cfg["svg"]:
         fitted = None
-        if np.isfinite(fit.alpha_tail) and np.isfinite(fit.c1):
-            fitted = (fit.c1, fit.c2, fit.alpha_tail)
+        if np.isfinite(fit["alpha_tail"]) and np.isfinite(fit["c1"]):
+            fitted = (fit["c1"], fit["c2"], fit["alpha_tail"])
         documents["tail.svg"] = render_tail_svg(t_grid, p_hat, lo, hi, fitted=fitted,
                                                 title=f"tail of {col} (largest n)")
 
-    derived = {"alpha_moments": fit.alpha_moments,
-               "alpha_tail": fit.alpha_tail,
-               "flags": list(fit.flags)}
+    derived = {key: fit[key] for key in ("alpha_moments", "alpha_tail", "flags")}
     return _emit(cfg, out_dir, ["fit-tail.csv"], derived,
-                 f"fit: alpha_moments={fit.alpha_moments:.4g} "
-                 f"alpha_tail={fit.alpha_tail:.4g} flags={list(fit.flags)}", documents,
+                 "fit: alpha_moments={alpha_moments:.4g} alpha_tail={alpha_tail:.4g} "
+                 "flags={flags}".format(**derived), documents,
                  inputs={os.path.basename(path): sha256_file(path)})
 
 

@@ -98,8 +98,6 @@ def euclidean_bilinearity_bound(alg: NilpotentAlgebra) -> float:
 def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.ndarray:
     """phi_i of layer coordinates, batched over leading axes."""
     i = weight - 1
-    if coords.shape[-1] == 0:
-        return np.zeros(coords.shape[:-1])
     facets = norm.hull_facets[i]
     if facets is None:
         return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
@@ -232,18 +230,17 @@ def _convex_ring(points: np.ndarray) -> list[int]:
 def _hull_layer(vertices: np.ndarray):
     """(hull vertices, facet rows (a, b) with hull = {x : a.x <= b}, angles).
 
-    Hull vertices are listed in input order.  A 1-D layer is the segment
-    [-b, b] with angles None.  A 2-D layer is built by a monotone chain, its
-    facets listed counter-clockwise from the one whose start vertex has the
-    smallest angle; angles holds those start-vertex angles.  Returns None if
-    the hull is degenerate or misses the origin, and for layers of
-    dimension >= 3, which fall back to scaled euclidean.
+    Hull vertices are listed in input order; they are nonzero rows.  A 1-D
+    layer is the segment [-b, b] with angles None.  A 2-D layer is built by
+    a monotone chain, its facets listed counter-clockwise from the one
+    whose start vertex has the smallest angle; angles holds those
+    start-vertex angles.  Returns None if the hull is degenerate or misses
+    the origin, and for layers of dimension >= 3, which fall back to scaled
+    euclidean.
     """
     k = vertices.shape[1]
     if k == 1:
         top = float(np.max(np.abs(vertices)))
-        if top <= 0.0:
-            return None
         return np.array([[top], [-top]]), np.array([[1.0, top], [-1.0, top]]), None
     if k > 2 or np.linalg.matrix_rank(vertices, rtol=RANK_RTOL) < k:
         return None

@@ -85,6 +85,7 @@ class StepDistribution:
     and its orthocomplement W; the mean abelianized displacement splits
     into v_mu in V and w_mu in W.  Derived fields:
       radius          largest euclidean atom displacement
+      abelianized_mean  mean displacement projected to the abelianized layer
       v_mu            invariant part of the mean abelianized displacement
       kappa_mu        smallest singular value of (I - Ad(mu_q)) on W;
                       None when W = {0} (nothing to contract)
@@ -98,6 +99,7 @@ class StepDistribution:
     xis: np.ndarray               # (m, d)
     kappas: np.ndarray            # (m,) indices
     radius: float = field(init=False)
+    abelianized_mean: np.ndarray = field(init=False)
     v_mu: np.ndarray = field(init=False)
     kappa_mu: float | None = field(init=False)
     centering: np.ndarray = field(init=False)
@@ -120,12 +122,16 @@ class StepDistribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "xis", xis)
         object.__setattr__(self, "kappas", kappas)
-        object.__setattr__(self, "radius", float(np.max(np.linalg.norm(xis, axis=1))))
+        # scaled by a power of two, exactly, so that no square overflows
+        _, exp = np.frexp(np.max(np.abs(xis)))
+        object.__setattr__(self, "radius", float(np.ldexp(
+            np.max(np.linalg.norm(np.ldexp(xis, -exp), axis=1)), exp)))
         mu_q = np.zeros(self.q.order)
         np.add.at(mu_q, kappas, probs)
-        v_b, w_b = invariant_split(self.alg, self.q, np.nonzero(mu_q > 0)[0])
-        m1 = _abelianized_layer(self.alg)
+        m1 = lower_central_filtration(self.alg).layers[0]
+        v_b, w_b = invariant_split(m1, self.q, np.nonzero(mu_q > 0)[0])
         mean_ab = project_onto(m1, probs @ xis)
+        object.__setattr__(self, "abelianized_mean", mean_ab)
         object.__setattr__(self, "v_mu", project_onto(v_b, mean_ab))
         w_mu = project_onto(w_b, mean_ab)
 
@@ -150,48 +156,40 @@ class StepDistribution:
             object.__setattr__(self, "centering", y)
 
 
-def _abelianized_layer(alg: NilpotentAlgebra) -> np.ndarray:
-    return lower_central_filtration(alg).layers[0]
-
-
-def invariant_split(alg: NilpotentAlgebra, q: FiniteActionGroup,
+def invariant_split(m1: np.ndarray, q: FiniteActionGroup,
                     support) -> tuple[np.ndarray, np.ndarray]:
-    """Split the abelianized layer into fixed vectors and their complement.
+    """Split the abelianized layer, orthonormal rows m1, into fixed vectors
+    and their complement.
 
     Fixed means fixed by every support element, and so by every element
     of the subgroup they generate.  Bases are orthonormal rows in ambient
     coordinates.
     """
-    m1 = _abelianized_layer(alg)
-    blocks = [m1 @ (q.matrices[h] - np.eye(alg.dim)).T for h in support if h != q.identity]
+    dim = m1.shape[1]
+    blocks = [m1 @ (q.matrices[h] - np.eye(dim)).T for h in support if h != q.identity]
     if not blocks:
-        return m1, np.zeros((0, alg.dim))
+        return m1, np.zeros((0, dim))
     stacked = np.concatenate(blocks, axis=1)  # rows follow the m1 basis
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     # coordinate directions whose residual under every h is ~ zero
     svals = np.zeros(stacked.shape[0])
     svals[: s.size] = s
     v_coords = u.T[svals <= EIG_TOL]
-    v_basis = orthonormal_basis(v_coords @ m1) if v_coords.size else np.zeros((0, alg.dim))
+    v_basis = orthonormal_basis(v_coords @ m1) if v_coords.size else np.zeros((0, dim))
     w_basis = complement_within(v_basis, m1)
     return v_basis, w_basis
 
 
-def conjugate_distribution(dist: StepDistribution,
-                           y: np.ndarray | None = None) -> StepDistribution:
-    """Law of (−y, id) (xi, k) (y, id): atoms become (−y) * xi * Ad(k) y."""
-    y = dist.centering if y is None else np.asarray(y, dtype=float)
+def conjugate_distribution(dist: StepDistribution) -> StepDistribution:
+    """Law of (−y, id) (xi, k) (y, id), y the centering element: atoms
+    become (−y) * xi * Ad(k) y."""
+    y = dist.centering
     new_xis = np.stack([
         bch(dist.alg, bch(dist.alg, -y, xi), dist.q.matrices[k] @ y)
         for xi, k in zip(dist.xis, dist.kappas)
     ])
     return StepDistribution(alg=dist.alg, q=dist.q, probs=dist.probs,
                             xis=new_xis, kappas=dist.kappas)
-
-
-def abelianized_mean(dist: StepDistribution) -> np.ndarray:
-    m1 = _abelianized_layer(dist.alg)
-    return project_onto(m1, dist.probs @ dist.xis)
 
 
 # ---------------------------------------------------------------------------

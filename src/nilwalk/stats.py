@@ -10,13 +10,13 @@ The estimators quantify how a family of samples concentrates:
   * lil_diagnostic    per-replicate sup of |y_n| / (n log log n)^alpha
                       along dyadic times, with an unbounded-growth flag
 
-The two alpha estimates answer different questions and are reported side
-by side, never averaged.
+fit_alpha and lil_diagnostic return report sections: the fit entries of
+fit-report.json and its "lil" entry, as plain dicts of floats, ints, bools
+and lists.  The two alpha estimates answer different questions and are
+reported side by side, never averaged.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,22 +41,6 @@ def tail_curve(samples: np.ndarray, thresholds: np.ndarray):
     lo = np.where(k == 0, 0.0, betaincinv(np.maximum(k, 1), n - np.maximum(k, 1) + 1, 0.025))
     hi = np.where(k == n, 1.0, betaincinv(k + 1, np.maximum(n - k, 1), 0.975))
     return p_hat, lo, hi
-
-
-@dataclass(frozen=True)
-class ConcentrationFit:
-    alpha_moments: float
-    alpha_moments_ci: tuple[float, float]
-    alpha_tail: float
-    alpha_tail_ci: tuple[float, float]
-    c_moment: float               # ||f||_p <~ c_moment * p^(1/alpha_moments)
-    c1: float                     # tail bound c2 exp(-c1 t^alpha_tail)
-    c2: float
-    moment_orders: tuple[int, ...]
-    family_norms: tuple[float, ...]   # sup over n of ||f_n||_p, per order
-    tail_t: tuple[float, ...]
-    tail_p: tuple[float, ...]
-    flags: tuple[str, ...]
 
 
 def _tail_grid(groups: list[np.ndarray]) -> np.ndarray:
@@ -101,14 +85,17 @@ def _fit_alpha_once(tables, t_grid, picks):
 
 
 @np.errstate(over="ignore")  # flagged moment-overflow or tail-overflow instead
-def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
-              seed: int) -> ConcentrationFit:
+def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int, seed: int) -> dict:
     """Joint concentration-exponent fit for a family of sample groups.
 
     The moment route regresses the family norm sup_n ||f_n||_p on p over
     MOMENT_ORDERS; the tail route regresses the double log of the family
     exceedance on log t inside TAIL_WINDOW.  Confidence intervals are
     percentile bootstrap over n_bootstrap resamples drawn from seed.
+    Returns the fit entries of fit-report.json: both exponents with their
+    intervals, c_moment (||f||_p <~ c_moment p^(1/alpha_moments)), c1 and
+    c2 (tail bound c2 exp(-c1 t^alpha_tail)), the moment orders with the
+    family norms sup_n ||f_n||_p, and the flags.
     """
     groups = [np.abs(np.asarray(v, dtype=float).ravel()) for v in samples_by_n.values()]
     if not groups:
@@ -132,10 +119,7 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
         picks = [rng.integers(0, g.size, g.size) for g in groups]
         am, _, at, _, _, _ = _fit_alpha_once(tables, t_grid, picks)
         boots_m.append(am)
-        if np.isfinite(at):
-            boots_t.append(at)
-    ci_m = _pct_ci(boots_m)
-    ci_t = _pct_ci(boots_t) if boots_t else (np.nan, np.nan)
+        boots_t.append(at)
 
     # second pass for the tail-bound constants with alpha fixed
     c1, c2 = np.nan, np.nan
@@ -151,41 +135,24 @@ def fit_alpha(samples_by_n: dict[int, np.ndarray], n_bootstrap: int,
             (not np.isfinite(alpha_t) or alpha_t > BOUNDED_SUPPORT_ALPHA):
         flags.append("bounded-support-regime")
 
-    return ConcentrationFit(
-        alpha_moments=float(alpha_m), alpha_moments_ci=ci_m,
-        alpha_tail=float(alpha_t), alpha_tail_ci=ci_t,
-        c_moment=c_m, c1=c1, c2=c2,
-        moment_orders=MOMENT_ORDERS,
-        family_norms=tuple(fam),
-        tail_t=tuple(float(t) for t in t_grid[mask]),
-        tail_p=tuple(float(p) for p in p_hat[mask]),
-        flags=tuple(flags),
-    )
+    return {"alpha_moments": float(alpha_m), "alpha_moments_ci": _pct_ci(boots_m),
+            "alpha_tail": float(alpha_t), "alpha_tail_ci": _pct_ci(boots_t),
+            "c_moment": c_m, "c1": c1, "c2": c2, "moment_orders": list(MOMENT_ORDERS),
+            "family_norms": fam.tolist(), "flags": flags}
 
 
-def _pct_ci(values) -> tuple[float, float]:
-    """Central 95% percentile interval of the finite values."""
+def _pct_ci(values) -> list[float]:
+    """Central 95% percentile interval of the finite values; NaNs when there are none."""
     arr = np.asarray([v for v in values if np.isfinite(v)], dtype=float)
     if arr.size == 0:
-        return (np.nan, np.nan)
-    return (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
+        return [np.nan, np.nan]
+    return np.percentile(arr, [2.5, 97.5]).tolist()
 
 
 # ---------------------------------------------------------------------------
 # iterated-logarithm growth diagnostic
 
-@dataclass(frozen=True)
-class LilReport:
-    alpha: float
-    dyadic_n: tuple[int, ...]
-    c_hat: np.ndarray                 # per replicate
-    median_c: float
-    frac_peak_top: float
-    unbounded_flag: bool
-    median_ratio: tuple[float, ...]   # per-j median of the scaled ratio
-
-
-def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> LilReport:
+def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> dict:
     """Scaled growth along dyadic times.
 
     values[r, j] is the displacement statistic of replicate r at time
@@ -196,7 +163,10 @@ def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> LilReport:
     times.  When the exponent is right the ratio sequence
     is roughly stationary and its peak falls anywhere, so the fraction
     stays far below one half; when the exponent is too small the ratio
-    drifts upward and the peak concentrates at the top.
+    drifts upward and the peak concentrates at the top.  Returns the
+    "lil" entry of fit-report.json: the median and quartiles of the
+    per-replicate constants, the peak-at-top fraction and flag, and the
+    per-time median of the scaled ratio.
     """
     ns = np.asarray(dyadic_n, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -210,10 +180,11 @@ def lil_diagnostic(dyadic_n, values: np.ndarray, alpha: float) -> LilReport:
     c_hat = ratios.max(axis=1)
     peak_top = np.argmax(ratios, axis=1) >= ratios.shape[1] - 3
     frac = float(np.mean(peak_top))
-    return LilReport(alpha=float(alpha), dyadic_n=tuple(int(v) for v in ns),
-                     c_hat=c_hat, median_c=float(np.median(c_hat)),
-                     frac_peak_top=frac, unbounded_flag=frac > 0.5,
-                     median_ratio=tuple(float(v) for v in np.median(ratios, axis=0)))
+    return {"alpha": float(alpha), "dyadic_n": [int(v) for v in ns],
+            "median_c": float(np.median(c_hat)),
+            "c_hat_quartiles": np.percentile(c_hat, [25, 50, 75]).tolist(),
+            "frac_peak_top": frac, "unbounded_flag": frac > 0.5,
+            "median_ratio": np.median(ratios, axis=0).tolist()}
 
 
 # ---------------------------------------------------------------------------

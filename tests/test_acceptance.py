@@ -26,8 +26,7 @@ from nilwalk.norms import (bilinearity_constant, build_gauge, default_kappas,
                            dilate, hom_norm, subadditivity_defect)
 from nilwalk.presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, abelian_algebra,
                              build_walk_setup, filiform_algebra, heisenberg_algebra)
-from nilwalk.semidirect import (StepDistribution, abelianized_mean,
-                                conjugate_distribution, finite_group)
+from nilwalk.semidirect import StepDistribution, conjugate_distribution, finite_group
 from nilwalk.splitting import Lift, big_delta, delta, delta_ratio_scan
 from nilwalk.stats import fit_alpha, lil_diagnostic
 from nilwalk.walker import WalkConfig, monte_carlo
@@ -184,9 +183,9 @@ def test_criterion_04_centred_concentration():
     fit = with_defaults(fit_alpha, {n: res.running_max[:, j] / np.sqrt(n)
                                     for j, n in enumerate(ns)}, n_bootstrap=0)
     elapsed = time.monotonic() - start
-    ok = flat <= 2.0 and 1.5 <= fit.alpha_tail <= 2.6 and elapsed < 300.0
+    ok = flat <= 2.0 and 1.5 <= fit["alpha_tail"] <= 2.6 and elapsed < 300.0
     verdict(4, ok, f"moment flatness {flat:.3f} <= 2, alpha_tail "
-                   f"{fit.alpha_tail:.3f} in [1.5, 2.6], {elapsed:.0f}s")
+                   f"{fit['alpha_tail']:.3f} in [1.5, 2.6], {elapsed:.0f}s")
 
 
 def test_criterion_05_drift_scaling():
@@ -255,7 +254,7 @@ def test_criterion_07_essential_average():
                             xis=np.array([[1.0, 0.0]]),
                             kappas=np.array([1]))
     y_err = float(np.max(np.abs(dist.centering - np.array([0.5, 0.5]))))
-    conj_mean = float(np.max(np.abs(abelianized_mean(conjugate_distribution(dist)))))
+    conj_mean = float(np.max(np.abs(conjugate_distribution(dist).abelianized_mean)))
     lemma = np.linalg.norm(dist.centering) <= dist.radius / dist.kappa_mu + 1e-12
     ok = y_err <= 1e-12 and conj_mean <= 1e-10 and lemma
     verdict(7, ok, f"centering error {y_err:.2e}, conjugated mean "
@@ -347,9 +346,9 @@ def test_criterion_11_lil_diagnostic():
         res = monte_carlo(cfg)
         good = lil_diagnostic(res.checkpoints, res.y_norm, alpha=0.5)
         bad = lil_diagnostic(res.checkpoints, res.y_norm, alpha=0.25)
-        ok = ok and not good.unbounded_flag and bad.unbounded_flag \
-            and 0.05 < good.median_c < 10.0
-        pieces.append(f"{label}: C_hat median {good.median_c:.3f}, "
-                      f"peak-at-top {good.frac_peak_top:.2f} vs "
-                      f"{bad.frac_peak_top:.2f} at alpha=1/4")
+        ok = ok and not good["unbounded_flag"] and bad["unbounded_flag"] \
+            and 0.05 < good["median_c"] < 10.0
+        pieces.append(f"{label}: C_hat median {good['median_c']:.3f}, "
+                      f"peak-at-top {good['frac_peak_top']:.2f} vs "
+                      f"{bad['frac_peak_top']:.2f} at alpha=1/4")
     verdict(11, ok, "; ".join(pieces))

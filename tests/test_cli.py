@@ -722,6 +722,29 @@ def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
         assert not (tmp_path / case / "o" / "walk.csv").exists()
 
 
+def test_walk_records_a_radius_whose_square_overflows(tmp_path, capsys):
+    """Atoms +/- 2^600 square past the double range, their radius does not:
+    R_mu is 2^600 in the manifest and the walk.csv header, and no warning
+    is raised.  The conjugated 1e300 law still ends in its one error line."""
+    big, small = 2.0 ** -40, 0.5 - 2.0 ** -40
+    law = inline_walk(algebra={"dim": 1, "step": 1, "brackets": []}, distribution={
+        "atoms": [{"p": p, "xi": [x], "kappa": 0}
+                  for p, x in ((big, 2.0 ** 600), (big, -2.0 ** 600), (small, 1.0), (small, -1.0))],
+        "Q": {"matrices": [[[1.0]]]}})
+    (tmp_path / "c.json").write_text(json.dumps(law))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["walk", "--config", tmp_path / "c.json", "--out", tmp_path / "o"]) == 0
+        derived = read_json(tmp_path / "o" / "manifest.json")["derived"]
+        assert derived["R_mu"] == derived["R_mu_base"] == 2.0 ** 600
+        assert "\n# R_mu: 4.149515568880993e+180\n" in (tmp_path / "o" / "walk.csv").read_text()
+        files, argv, _ = next(row[1:] for row in MALFORMED
+                              if row[0] == "walk-gauge-calibration-not-finite")
+        (tmp_path / "calibration").mkdir()
+        code, err = run_malformed(tmp_path / "calibration", capsys, files, argv)
+    assert code == 4 and len(err) == 1 and err[0].startswith("error: gauge calibration")
+
+
 def test_walk_twist_group_error_names_its_residual(tmp_path, capsys):
     """Negating e1 alone negates [e1, e2] = e3 but fixes e3: residual 2."""
     flip_e1 = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]

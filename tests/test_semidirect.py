@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilwalk import groups
+from nilwalk.algebra import lower_central_filtration
 from nilwalk.errors import NumericalValidationError
 from nilwalk.presets import abelian_algebra, heisenberg_algebra
-from nilwalk.semidirect import (StepDistribution, abelianized_mean,
-                                conjugate_distribution, distribution_from_json,
-                                finite_group, invariant_split, q_validate)
+from nilwalk.semidirect import (StepDistribution, conjugate_distribution,
+                                distribution_from_json, finite_group, invariant_split,
+                                q_validate)
 
 
 def c4_group():
@@ -58,7 +59,8 @@ def test_invariant_split_c4_plane():
     for dim in (2, 3):
         mats = np.tile(np.eye(dim), (4, 1, 1))
         mats[:, :2, :2] = groups.cyclic_rotations(4)
-        v_b, w_b = invariant_split(abelian_algebra(dim), finite_group(mats), support=[1])
+        m1 = lower_central_filtration(abelian_algebra(dim)).layers[0]
+        v_b, w_b = invariant_split(m1, finite_group(mats), support=[1])
         assert v_b.shape[0] == dim - 2
         assert w_b.shape[0] == 2
         assert np.allclose(np.abs(v_b), np.eye(dim)[2:])
@@ -67,7 +69,7 @@ def test_invariant_split_c4_plane():
 def test_invariant_split_trivial_support():
     alg = abelian_algebra(2)
     q = c4_group()
-    v_b, w_b = invariant_split(alg, q, support=[q.identity])
+    v_b, w_b = invariant_split(lower_central_filtration(alg).layers[0], q, support=[q.identity])
     assert v_b.shape[0] == 2
     assert w_b.shape[0] == 0
 
@@ -90,7 +92,7 @@ def test_r2_c4_centering_is_half_half():
 def test_r2_c4_conjugated_mean_vanishes():
     dist = r2_c4_dist()
     conj = conjugate_distribution(dist)
-    assert np.max(np.abs(abelianized_mean(conj))) <= 1e-10
+    assert np.max(np.abs(conj.abelianized_mean)) <= 1e-10
     # lemma-style containment: |y| <= R_mu / kappa_mu
     assert np.linalg.norm(dist.centering) <= dist.radius / dist.kappa_mu + 1e-12
 
@@ -120,7 +122,7 @@ def test_flip_eps_conjugated_atoms():
     conj = conjugate_distribution(dist)
     # (-y) + 1 + y = 1 and (-y) + 0 - y = -99
     assert np.allclose(sorted(conj.xis.ravel()), [-99.0, 1.0], atol=1e-10)
-    assert np.max(np.abs(abelianized_mean(conj))) <= 1e-10
+    assert np.max(np.abs(conj.abelianized_mean)) <= 1e-10
 
 
 def test_kappa_mu_none_when_nothing_moves():
@@ -185,12 +187,12 @@ def test_flip_centering_formula(eps):
 
 
 def test_conjugation_by_explicit_y_matches_group_algebra():
-    """c_y atoms computed two ways: library BCH route vs affine oracle."""
-    alg = abelian_algebra(2)
+    """c_y atoms, y the law's centering, computed two ways: library BCH
+    route vs affine oracle."""
     q = c4_group()
     dist = r2_c4_dist()
-    y = np.array([0.3, -1.2])
-    conj = conjugate_distribution(dist, y)
+    y = dist.centering
+    conj = conjugate_distribution(dist)
     for xi, k, new in zip(dist.xis, dist.kappas, conj.xis):
         oracle = -y + xi + q.matrices[k] @ y
         assert np.allclose(new, oracle, atol=1e-12)
