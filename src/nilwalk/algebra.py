@@ -5,7 +5,9 @@ structure tensor c, where [e_i, e_j] = sum_k c[i, j, k] e_k.  Everything
 else (series, filtrations, layers) is derived from c by numerical linear
 algebra.  Subspaces are represented by matrices whose rows are orthonormal
 spanning vectors; rank decisions use an SVD cut at RANK_RTOL times the top
-singular value.
+singular value.  Span and norm decisions first rescale their input by a
+power of two (scale_exponent), which is exact and keeps the largest
+square in range.
 """
 
 from __future__ import annotations
@@ -29,22 +31,37 @@ BRACKET_MIDDLE = MAX_DIM ** 3
 # ---------------------------------------------------------------------------
 # subspace arithmetic
 
+def scale_exponent(x: np.ndarray) -> int:
+    """The e with max|x| * 2**-e in [0.5, 1), or 0 for zeros.  Scaling by
+    2**-e is exact for every entry that stays a normal double, and the sum
+    of squares of x * 2**-e neither overflows nor underflows to zero."""
+    return int(np.frexp(np.max(np.abs(x)))[1])
+
+
+def scaled_norm(x: np.ndarray, axis: int | None) -> np.ndarray:
+    """Euclidean norm along axis (None: of all of x), taken on x * 2**-e with
+    e = scale_exponent(x) and scaled back."""
+    e = scale_exponent(x)
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e)
+
+
 def orthonormal_basis(vectors: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Orthonormal row basis for the span of the given row vectors.
 
-    Returns a (k, d) array, possibly with k = 0.  The rank cut is
-    RANK_RTOL relative to the largest singular value; `floor` raises the
-    reference scale so a matrix that is nothing but rounding noise from
-    an O(floor) computation collapses to rank zero instead of being
-    renormalized into a spurious basis.
+    Returns a (k, d) array, with k = 0 for no rows or all-zero rows.  The
+    rank cut is RANK_RTOL relative to the largest singular value; `floor`
+    raises the reference scale so a matrix that is nothing but rounding
+    noise from an O(floor) computation collapses to rank zero instead of
+    being renormalized into a spurious basis.  The SVD and the cut run on
+    the rows and floor times one power of two, so the span does not
+    depend on their scale.
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if v.size == 0 or v.shape[0] == 0:
-        return np.zeros((0, v.shape[-1] if v.ndim == 2 else 0))
-    u, s, vt = np.linalg.svd(v, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, v.shape[1]))
-    rank = int(np.sum(s > RANK_RTOL * max(s[0], floor)))
+    if not np.any(v):
+        return np.zeros((0, v.shape[-1]))
+    e = scale_exponent(np.append(v, floor))  # so floor * 2**-e cannot overflow
+    _, s, vt = np.linalg.svd(np.ldexp(v, -e), full_matrices=False)
+    rank = int(np.sum(s > RANK_RTOL * max(s[0], np.ldexp(floor, -e))))
     return vt[:rank]
 
 
@@ -54,8 +71,6 @@ def subspace_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def project_onto(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x (shape (..., d)) onto span(basis rows)."""
-    if basis.shape[0] == 0:
-        return np.zeros_like(x)
     return (x @ basis.T) @ basis
 
 
@@ -63,10 +78,7 @@ def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of inner inside outer.
 
     outer's rows are orthonormal, so a residual below RANK_RTOL is noise."""
-    if outer.shape[0] == 0:
-        return np.zeros((0, outer.shape[1] if outer.ndim == 2 else 0))
-    resid = outer - project_onto(inner, outer)
-    return orthonormal_basis(resid, floor=1.0)
+    return orthonormal_basis(outer - project_onto(inner, outer), floor=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +166,6 @@ def _bracket_span(alg: NilpotentAlgebra, a: np.ndarray, b: np.ndarray) -> np.nda
     scale of the structure constants; anchoring the rank cut there keeps
     rounding residue from masquerading as a new ideal direction.
     """
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, alg.dim))
     prods = np.einsum("ui,wj,ijk->uwk", a, b, alg.tensor).reshape(-1, alg.dim)
     return orthonormal_basis(prods, floor=float(np.max(np.abs(alg.tensor))))
 
@@ -202,14 +212,9 @@ class Filtration:
 
 
 def _filtration_from_ideals(kind: str, ideals: list[np.ndarray]) -> Filtration:
-    # ideals[0] = F^(1); append trailing zero ideal if missing
-    if ideals[-1].shape[0] != 0:
-        raise ValueError("filtration did not terminate at zero")
+    # ideals[0] = F^(1), and the last ideal is the zero ideal
     depth = max(i + 1 for i, b in enumerate(ideals) if b.shape[0] > 0)
-    layers = []
-    for i in range(depth):
-        nxt = ideals[i + 1] if i + 1 < len(ideals) else np.zeros((0, ideals[0].shape[1]))
-        layers.append(complement_within(nxt, ideals[i]))
+    layers = [complement_within(ideals[i + 1], ideals[i]) for i in range(depth)]
     return Filtration(kind=kind, ideals=tuple(ideals), layers=tuple(layers), depth=depth)
 
 
@@ -230,10 +235,11 @@ def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
     if v.shape != (alg.dim,):
         raise ValueError(f"v must have shape ({alg.dim},)")
     full = np.eye(alg.dim)
-    if np.linalg.norm(v) == 0.0:
+    if not np.any(v):
         f = lower_central_filtration(alg)
         return Filtration(kind="weighted", ideals=f.ideals, layers=f.layers, depth=f.depth)
-    vrow = v[None, :] / np.linalg.norm(v)
+    vrow = np.ldexp(v, -scale_exponent(v))[None, :]
+    vrow /= np.linalg.norm(vrow)
     ideals = [full, full]  # F^(0), F^(1)
     for i in range(1, 2 * alg.step + 2):
         nxt = subspace_sum(_ideal_bracket_span(alg, ideals[i]),

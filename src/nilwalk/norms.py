@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RANK_RTOL, Filtration, NilpotentAlgebra, layer_components
+from .algebra import RANK_RTOL, Filtration, NilpotentAlgebra, layer_components, project_onto
 from .bch import TABLE_CAP, bch, dynkin_table
 from .errors import NumericalValidationError
 from .rng import STREAM_GAUGE, substream
@@ -142,12 +142,7 @@ def hom_norm(norm: HomogeneousNorm, x: np.ndarray) -> np.ndarray | float:
 def dilate(filt: Filtration, r: float, x: np.ndarray) -> np.ndarray:
     """Adapted dilation: multiply the weight-i component by r^i."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for i, basis in enumerate(filt.layers):
-        if basis.shape[0] == 0:
-            continue
-        out = out + (r ** (i + 1)) * ((x @ basis.T) @ basis)
-    return out
+    return sum((r ** (i + 1)) * project_onto(basis, x) for i, basis in enumerate(filt.layers))
 
 
 # ---------------------------------------------------------------------------

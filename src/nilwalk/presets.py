@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .algebra import NilpotentAlgebra, lower_central_filtration, weighted_filtration
+from .algebra import (NilpotentAlgebra, lower_central_filtration, scaled_norm,
+                      weighted_filtration)
 from .norms import HomogeneousNorm, build_gauge
 from .semidirect import (StepDistribution, conjugate_distribution,
                          finite_group, q_validate)
@@ -165,14 +166,14 @@ def build_walk_setup(preset: str, law: StepDistribution | None, eps: float | Non
     notes = []
     dist = base
     conjugated = False
-    if conjugate == "auto" and float(np.linalg.norm(base.centering)) > CENTERING_TOL:
+    if conjugate == "auto" and scaled_norm(base.centering, axis=None) > CENTERING_TOL:
         dist = conjugate_distribution(base)
         conjugated = True
         notes.append("law conjugated by the centering element before walking")
 
     # one threshold decides whether the law is centred, for the filtration,
     # the notes and the displacement scale alike
-    drifted = float(np.linalg.norm(dist.v_mu)) > CENTERING_TOL
+    drifted = scaled_norm(dist.v_mu, axis=None) > CENTERING_TOL
     if filtration_choice == "standard":
         filt = lower_central_filtration(alg)
     else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import groups
 from .algebra import (NilpotentAlgebra, complement_within, lower_central_filtration,
-                      orthonormal_basis, project_onto)
+                      orthonormal_basis, project_onto, scaled_norm)
 from .bch import bch
 from .errors import NumericalValidationError
 
@@ -122,10 +122,7 @@ class StepDistribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "xis", xis)
         object.__setattr__(self, "kappas", kappas)
-        # scaled by a power of two, exactly, so that no square overflows
-        _, exp = np.frexp(np.max(np.abs(xis)))
-        object.__setattr__(self, "radius", float(np.ldexp(
-            np.max(np.linalg.norm(np.ldexp(xis, -exp), axis=1)), exp)))
+        object.__setattr__(self, "radius", float(np.max(scaled_norm(xis, axis=1))))
         mu_q = np.zeros(self.q.order)
         np.add.at(mu_q, kappas, probs)
         m1 = lower_central_filtration(self.alg).layers[0]
@@ -175,7 +172,7 @@ def invariant_split(m1: np.ndarray, q: FiniteActionGroup,
     svals = np.zeros(stacked.shape[0])
     svals[: s.size] = s
     v_coords = u.T[svals <= EIG_TOL]
-    v_basis = orthonormal_basis(v_coords @ m1) if v_coords.size else np.zeros((0, dim))
+    v_basis = orthonormal_basis(v_coords @ m1)
     w_basis = complement_within(v_basis, m1)
     return v_basis, w_basis
 

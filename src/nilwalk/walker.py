@@ -107,7 +107,7 @@ def _step_tables(dist: StepDistribution):
     the cross-check's increment; and next_q[g], the twist after the step.
     """
     alg, q = dist.alg, dist.q
-    drifted = np.linalg.norm(dist.v_mu) > 0
+    drifted = np.any(dist.v_mu)
     zetas = np.stack([bch(alg, xi, -dist.v_mu) for xi in dist.xis]) if drifted else dist.xis
     twist = np.repeat(q.matrices, len(dist.xis), axis=0)  # (k m, d, d)
     walked = np.einsum("rij,rj->ri", twist, np.tile(zetas, (q.order, 1)))

@@ -8,7 +8,7 @@ from nilwalk import algebra
 from nilwalk.algebra import (MAX_DIM, NilpotentAlgebra, algebra_from_json,
                              layer_components, lower_central_filtration,
                              algebra_residuals, lower_central_series,
-                             validate_algebra, weighted_filtration)
+                             orthonormal_basis, validate_algebra, weighted_filtration)
 from nilwalk.errors import NumericalValidationError, ResourceCeilingError
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
@@ -61,6 +61,23 @@ def test_jacobi_residual_matches_dense_oracle():
     for t in tensors:
         alg = NilpotentAlgebra(dim=t.shape[0], step=1, tensor=t)
         assert algebra_residuals(alg)[1] == jacobi_residual_dense(t)
+
+
+def test_span_does_not_depend_on_scale():
+    """Rows (and floor) times 2**k span with the same basis, bit for bit, on
+    both sides of the range where squares stay normal; a random rank below
+    the row count gives spans with dependent rows.  Rows far below the
+    floor span nothing."""
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        rows, d = rng.integers(1, 7, size=2)
+        rank = rng.integers(1, min(rows, d) + 1)
+        v = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d))
+        for k in (-1000, -300, 300, 1000):
+            assert np.array_equal(orthonormal_basis(np.ldexp(v, k)), orthonormal_basis(v))
+            assert np.array_equal(orthonormal_basis(np.ldexp(v, k), floor=np.ldexp(1.0, k)),
+                                  orthonormal_basis(v, floor=1.0))
+        assert orthonormal_basis(np.ldexp(v, -1060), floor=1.0).shape == (0, d)
 
 
 def test_lower_central_series_heisenberg():

@@ -184,17 +184,21 @@ def test_fit_refuses_header_only_csv_without_a_warning(tmp_path, capsys):
 
 
 def test_fit_on_all_zero_samples_warns_nothing(tmp_path, capsys):
-    """log of a zero family norm is -inf: alpha_moments is null, with no warning."""
+    """log of a zero family norm is -inf: alpha_moments is null, with no
+    warning, and the tail plot has no point."""
     csv_path = tmp_path / "w.csv"
     csv_path.write_text(WALK_CSV_COLUMNS + "0,4,0,0,0,0,0\n1,4,0,0,0,0,0\n"
                         "0,8,0,0,0,0,0\n1,8,0,0,0,0,0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["fit", "--csv", csv_path, "--out", tmp_path / "o"]) == 0
+        assert run(["fit", "--csv", csv_path, "--svg", "--out", tmp_path / "o"]) == 0
     assert capsys.readouterr().err == ""
     report = read_json(tmp_path / "o" / "fit-report.json")
     assert report["alpha_moments"] is None
     assert report["flags"] == ["degenerate-samples", "tail-window-too-narrow"]
+    # no positive tail point to plot: the SVG is the bare frame
+    assert (tmp_path / "o" / "tail.svg").read_text() == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420"/>')
 
 
 def test_fit_flags_moment_and_tail_overflow_and_warns_nothing(tmp_path, capsys):
@@ -268,6 +272,17 @@ def test_algebra_check_preset_and_drift(tmp_path):
     assert report["filtration"]["layer_dims"] == [2, 0, 1]
     assert run(["algebra-check", "--preset", "heisenberg", "--v", "1,0",
                 "--out", tmp_path / "b"]) == 2
+
+
+@pytest.mark.parametrize("v", ["1e200,0,0", "1e-200,0,0"], ids=["huge", "tiny"])
+def test_algebra_check_reads_only_the_direction_of_v(tmp_path, v):
+    """|v|^2 overflows or underflows; the filtration is still the one for e1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["algebra-check", "--preset", "heisenberg", "--v", v,
+                    "--out", tmp_path / "a"]) == 0
+    filt = read_json(tmp_path / "a" / "algebra-report.json")["filtration"]
+    assert filt["depth"] == 3 and filt["layer_dims"] == [2, 0, 1]
 
 
 def test_algebra_check_accepts_seed(tmp_path):
@@ -671,6 +686,8 @@ MALFORMED = [
      ["walk", "--preset", "heisenberg-srw", "--filtration", "upper"], 2),
     ("walk-unknown-conjugate", {},
      ["walk", "--preset", "heisenberg-srw", "--conjugate", "sometimes"], 2),
+    ("walk-checkpoints-not-ending-at-n", {},
+     ["walk", "--preset", "heisenberg-srw", "--n", "8", "--checkpoints", "4"], 2),
     # values that leave the double range: in the gauge calibration, or in the walk
     ("walk-gauge-calibration-not-finite", {"c.json": json.dumps(inline_walk(
         algebra=dict(HEIS, brackets=[[1, 2, [[3, 1e300]]]])))},
@@ -709,8 +726,9 @@ def test_missing_input_is_refused_before_out_is_made(tmp_path, capsys, files, ar
 
 
 def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
-    """The gauge calibration names its weight, the walk its replicate and n;
-    a walk whose values left the range writes no walk.csv."""
+    """The gauge calibration names its weight, the walk its replicate and n,
+    with no warning before; a walk whose values left the range writes no
+    walk.csv."""
     for case, line in [("walk-gauge-calibration-not-finite",
                         "error: gauge calibration is not finite at weight 2: "
                         "constant inf, scale 1.131e+301"),
@@ -718,8 +736,28 @@ def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
                         "range: replicate 0 is not finite at n=4")]:
         files, argv, _ = next(row[1:] for row in MALFORMED if row[0] == case)
         (tmp_path / case).mkdir()
-        assert run_malformed(tmp_path / case, capsys, files, argv) == (4, [line])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_malformed(tmp_path / case, capsys, files, argv) == (4, [line])
         assert not (tmp_path / case / "o" / "walk.csv").exists()
+
+
+def test_brackets_near_the_top_of_the_double_range(tmp_path, capsys):
+    """[e1, e2] = 1.7e308 e3 is a step-2 algebra, with no warning; its
+    scaled gauge's calibration is not finite, and the walk names that."""
+    big = dict(HEIS, brackets=[[1, 2, [[3, 1.7e308]]]])
+    (tmp_path / "a.json").write_text(json.dumps(big))
+    (tmp_path / "c.json").write_text(json.dumps(inline_walk(algebra=big)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["algebra-check", "--algebra", tmp_path / "a.json",
+                    "--out", tmp_path / "a"]) == 0
+        assert run(["walk", "--config", tmp_path / "c.json", "--gauge", "scaled_euclidean",
+                    "--out", tmp_path / "w"]) == 4
+    report = read_json(tmp_path / "a" / "algebra-report.json")
+    assert report["step"] == 2 and report["filtration"]["layer_dims"] == [2, 1]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gauge calibration is not finite at weight 2: constant nan, scale inf"]
 
 
 def test_walk_records_a_radius_whose_square_overflows(tmp_path, capsys):
