@@ -8,11 +8,18 @@ spanning vectors; rank decisions use an SVD cut at RANK_RTOL times the top
 singular value.  Span and norm decisions first rescale their input by a
 power of two (scale_exponent), which is exact and keeps the largest
 square in range.
+
+Two hot paths read a derived table instead of contracting densely.  A
+tensor with at most 2 d nonzero constants (every preset) brackets through
+a sparse plan; a layer whose basis rows are signed unit coordinate vectors
+(every preset filtration) takes its components by a gather.  Both sum and
+round as the einsum they replace, so on finite inputs the bytes do not
+change; any other tensor or layer keeps the einsum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +30,9 @@ VALIDATE_TOL = 1e-12
 # Largest dim algebra_from_json accepts; validate_algebra's Jacobi
 # temporaries are then dim^3 doubles, 2 MiB each.
 MAX_DIM = 64
-# Doubles in bracket's (rows, d, d) middle array: it is built this many at a
-# time, so its memory does not grow with the batch (2 MiB, as above).
+# Doubles in the dense bracket's (rows, d, d) middle array: it is built this
+# many at a time, so its memory does not grow with the batch (2 MiB, as
+# above).  A sparse tensor's plan builds no middle array.
 BRACKET_MIDDLE = MAX_DIM ** 3
 
 
@@ -42,7 +50,8 @@ def scaled_norm(x: np.ndarray, axis: int | None) -> np.ndarray:
     """Euclidean norm along axis (None: of all of x), taken on x * 2**-e with
     e = scale_exponent(x) and scaled back."""
     e = scale_exponent(x)
-    return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e)
+    with np.errstate(over="ignore"):  # a norm past the double range is inf
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e)
 
 
 def orthonormal_basis(vectors: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -84,6 +93,19 @@ def complement_within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # algebras
 
+def _bracket_plan(t: np.ndarray):
+    """For each output k with a nonzero t[:, :, k]: (k, ((j, ((i, c), ...)), ...)),
+    the nonzero c = t[i, j, k] in index order.  None above 2 d nonzeros: the
+    presets have at most 2 d, and a dense tensor (engel5 in a random basis,
+    119 nonzeros) runs several times faster through the einsum."""
+    if np.count_nonzero(t) > 2 * len(t):
+        return None
+    plan: dict = {}
+    for k, j, i in np.argwhere(t.transpose(2, 1, 0)).tolist():
+        plan.setdefault(k, {}).setdefault(j, []).append((i, float(t[i, j, k])))
+    return tuple((k, tuple((j, tuple(ic)) for j, ic in js.items())) for k, js in plan.items())
+
+
 @dataclass(frozen=True)
 class NilpotentAlgebra:
     """Structure-constant presentation of a nilpotent Lie algebra.
@@ -96,17 +118,22 @@ class NilpotentAlgebra:
     dim: int
     step: int
     tensor: np.ndarray
+    # derived from tensor: _bracket_plan's table, or None for a dense tensor
+    plan: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.tensor, dtype=float))
         if t.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"tensor shape {t.shape} does not match dim {self.dim}")
         object.__setattr__(self, "tensor", t)
+        object.__setattr__(self, "plan", _bracket_plan(t))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[x, y] for single vectors or batches with shape (..., d)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self.plan is not None:
+            return self._sparse_bracket(x, y)
         block = max(1, BRACKET_MIDDLE // max(1, self.dim) ** 2)
         if x.size <= block * self.dim:
             return self._bracket(x, y)
@@ -119,6 +146,23 @@ class NilpotentAlgebra:
         # x into the tensor, then y: still row by row (no BLAS), several times
         # faster than one three-operand einsum; rows round independently
         return np.einsum("...j,...jk->...k", y, np.einsum("...i,ijk->...jk", x, self.tensor))
+
+    def _sparse_bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # the einsums' sums over the nonzero terms only, in index order:
+        # m_jk = sum_i x_i c, then out_k = +0.0 + sum_j y_j m_jk, in place in
+        # out's zeros.  The +0.0 start fixes every sign of zero, so m needs
+        # none.  The einsums' inf * 0 = nan terms are skipped, so only
+        # non-finite inputs can give other bytes.
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        with np.errstate(over="ignore", invalid="ignore"):  # einsum warns of neither
+            for k, js in self.plan:
+                col = out[..., k]
+                for j, ((i, c), *rest) in js:
+                    m = x[..., i] * c
+                    for i, c in rest:
+                        m = m + x[..., i] * c
+                    col += y[..., j] * m
+        return out
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad_x = [x, .] acting on column vectors."""
@@ -202,6 +246,12 @@ class Filtration:
     ideals: tuple[np.ndarray, ...]
     layers: tuple[np.ndarray, ...]
     depth: int
+    # derived from layers: per layer, (column indices, signs) when each basis
+    # row is exactly a signed unit coordinate vector, else None
+    gathers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gathers", tuple(map(_unit_gather, self.layers)))
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -209,6 +259,16 @@ class Filtration:
 
     def layer_dims(self) -> tuple[int, ...]:
         return tuple(b.shape[0] for b in self.layers)
+
+
+def _unit_gather(basis: np.ndarray):
+    """(idx, sign) with basis[r] = sign[r] * e_idx[r] exactly, or None."""
+    idx = np.argmax(np.abs(basis), axis=1)
+    sign = basis[np.arange(len(basis)), idx]
+    if np.all(np.abs(sign) == 1.0) and np.array_equal(np.eye(basis.shape[1])[idx] * sign[:, None],
+                                                      basis):
+        return idx, sign
+    return None
 
 
 def _filtration_from_ideals(kind: str, ideals: list[np.ndarray]) -> Filtration:
@@ -254,10 +314,18 @@ def weighted_filtration(alg: NilpotentAlgebra, v: np.ndarray) -> Filtration:
 
 def layer_components(filt: Filtration, x: np.ndarray) -> list[np.ndarray]:
     """Coordinates of x in each layer's orthonormal row basis (shape (..., dim_i))."""
+    x = np.asarray(x, dtype=float)
     out = []
-    for b in filt.layers:
+    for b, gather in zip(filt.layers, filt.gathers):
         if b.shape[0] == 0:
-            out.append(np.zeros(np.shape(x)[:-1] + (0,)))
+            out.append(np.zeros(x.shape[:-1] + (0,)))
+        elif gather is not None:
+            # the einsum's one nonzero term; + 0.0 turns its -0.0 into +0.0.
+            # In place: two more (rows, dim_i) temporaries cost peak memory.
+            c = x[..., gather[0]]
+            c *= gather[1]
+            c += 0.0
+            out.append(c)
         else:
             out.append(np.einsum("...j,ij->...i", x, b))  # row-independent, unlike BLAS @
     return out

@@ -100,7 +100,15 @@ def _layer_gauge(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.n
     i = weight - 1
     facets = norm.hull_facets[i]
     if facets is None:
-        return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
+        if coords.shape[-1] >= 8:  # np.linalg.norm's pairwise sum starts at 8
+            return np.linalg.norm(coords, axis=-1) / norm.layer_scales[i]
+        # below 8 its sum runs column by column, as this one does; squaring
+        # first allocates as it does, so peak memory does not move either
+        sq = coords * coords
+        total = sq[..., 0]
+        for j in range(1, coords.shape[-1]):
+            total = total + sq[..., j]
+        return np.sqrt(total) / norm.layer_scales[i]
     if norm.hull_angles[i] is not None:
         return _polygon_gauge(norm.hull_angles[i], facets, coords)
     return np.abs(coords[..., 0]) / facets[0, 1]  # segment: max(x / b, -x / b)

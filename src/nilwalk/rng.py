@@ -70,7 +70,8 @@ def substream_blocks(seed: int, paths, steps: int, block: int):
         for row, key in zip(out, keys):
             state["state"]["key"] = key
             bitgen.state = state
-            bitgen.random_raw(2 * start % 4)
+            if 2 * start % 4:
+                bitgen.random_raw(2 * start % 4)
             gen.random(out=row)
         yield start, out
 

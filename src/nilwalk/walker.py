@@ -22,9 +22,11 @@ numpy batches, one fixed-size chunk of replicates at a time.  Each
 replicate draws from its own counter-based substream, key (seed, path
 (STREAM_WALK, replicate)) and counter = draw offset / 4; a chunk reads its
 replicates' streams block by block through one re-keyed Philox.  Every
-product rounds row by row (einsum, not a BLAS @), so results are
-bit-identical for any chunk or block size, and one replicate's atom choices
-can be redrawn from substream(seed, STREAM_WALK, replicate) alone.
+product rounds row by row (einsum, not a BLAS @; or, on the presets'
+sparse tensors and unit-vector layer bases, elementwise column arithmetic,
+see nilwalk.algebra), so results are bit-identical for any chunk or block
+size, and one replicate's atom choices can be redrawn from
+substream(seed, STREAM_WALK, replicate) alone.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ from nilwalk.algebra import (MAX_DIM, NilpotentAlgebra, algebra_from_json,
                              algebra_residuals, lower_central_series,
                              orthonormal_basis, validate_algebra, weighted_filtration)
 from nilwalk.errors import NumericalValidationError, ResourceCeilingError
-from nilwalk.presets import (abelian_algebra, filiform_algebra,
-                             free_step3_algebra, heisenberg_algebra)
+from nilwalk.presets import (WALK_PRESETS, abelian_algebra, build_walk_setup,
+                             filiform_algebra, free_step3_algebra, heisenberg_algebra)
 
 from oracles import (closure_weighted_ideals, containment_residual,
                      jacobi_residual_dense, rotate_basis, subspace_contained,
                      three_operand_bracket)
+from schema_defaults import with_defaults
 
 PRESET_ALGEBRAS = [heisenberg_algebra(), filiform_algebra(4),
                    free_step3_algebra(), abelian_algebra(2)]
@@ -297,8 +298,35 @@ def _dense_antisymmetric(dim, seed):
     return NilpotentAlgebra(dim=dim, step=dim - 1, tensor=t - np.transpose(t, (1, 0, 2)))
 
 
-@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [_dense_antisymmetric(7, 3)],
-                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "dense7"])
+def _sparse_antisymmetric(dim, seed):
+    """dim random antisymmetric pairs of constants, several often meeting in one output."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((dim, dim, dim))
+    for _ in range(dim // 2):
+        i, j = rng.choice(dim, size=2, replace=False)
+        k = rng.integers(dim)
+        t[i, j, k] = rng.normal()
+        t[j, i, k] = -t[i, j, k]
+    return NilpotentAlgebra(dim=dim, step=1, tensor=t)
+
+
+# engel5 in a random orthonormal basis: 119 nonzero constants, a dense tensor
+ROTATED_ENGEL5 = NilpotentAlgebra(dim=5, step=3,
+                                  tensor=rotate_basis(free_step3_algebra().tensor, 0)[1])
+
+
+def _signed_zero_rows(rng, rows, d):
+    """(x, y) of rows with a +0.0 row, a -0.0 row and entries drawn from +0.0,
+    -0.0 and normal values."""
+    x, y = np.where(rng.random((2, rows, d)) < 0.5,
+                    rng.choice([0.0, -0.0], size=(2, rows, d)), rng.normal(size=(2, rows, d)))
+    x[0], y[0], x[1], y[1] = 0.0, -0.0, -0.0, 0.0
+    return x, y
+
+
+@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [_dense_antisymmetric(7, 3), ROTATED_ENGEL5],
+                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "dense7",
+                              "engel5-rotated"])
 def test_bracket_rows_round_alone(alg):
     """A row's bracket is the same bits in a batch of 300 as on its own."""
     rng = np.random.default_rng(9)
@@ -314,13 +342,16 @@ def test_bracket_rows_round_alone(alg):
 def test_bracket_bit_equal_to_three_operand_contraction(alg):
     rng = np.random.default_rng(10)
     x, y = rng.normal(size=(2, 512, alg.dim))
+    xz, yz = _signed_zero_rows(rng, 64, alg.dim)
+    x, y = np.vstack([x, xz]), np.vstack([y, yz])
     got, want = alg.bracket(x, y), three_operand_bracket(alg.tensor, x, y)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [_dense_antisymmetric(7, 3)],
-                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "dense7"])
+@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [_dense_antisymmetric(7, 3), ROTATED_ENGEL5],
+                         ids=["heisenberg", "filiform4", "engel5", "abelian2", "dense7",
+                              "engel5-rotated"])
 def test_bracket_blocks_round_as_one_batch(monkeypatch, alg):
     """Cutting a batch into 7-row blocks changes no bit, broadcast operands included."""
     rng = np.random.default_rng(11)
@@ -338,6 +369,7 @@ def test_bracket_blocks_round_as_one_batch(monkeypatch, alg):
 def test_bracket_memory_does_not_grow_with_rows():
     """At MAX_DIM the (rows, d, d) middle array stays near MAX_DIM^3 doubles."""
     alg = _dense_antisymmetric(MAX_DIM, 4)
+    assert alg.plan is None  # the row-blocked einsum, not the sparse plan
     x, y = np.random.default_rng(12).normal(size=(2, 1000, MAX_DIM))
     tracemalloc.start()
     try:
@@ -347,3 +379,64 @@ def test_bracket_memory_does_not_grow_with_rows():
         tracemalloc.stop()
     # one unblocked middle array would be 1000 * 64^2 doubles, 31 MiB
     assert peak < 2 * 8 * MAX_DIM ** 3  # twice the 2 MiB budget
+
+
+@pytest.mark.parametrize("alg, sparse", [
+    (heisenberg_algebra(), True), (filiform_algebra(4), True), (free_step3_algebra(), True),
+    (abelian_algebra(2), True), (filiform_algebra(7), True), (_dense_antisymmetric(7, 3), False),
+    (ROTATED_ENGEL5, False)],
+    ids=["heisenberg", "filiform4", "engel5", "abelian2", "filiform7", "dense7", "engel5-rotated"])
+def test_bracket_plan_only_for_sparse_tensors(alg, sparse):
+    """At most 2 d nonzero constants take the plan, which lists each of them
+    once (an abelian tensor's is empty); denser tensors keep the einsum."""
+    nnz = np.count_nonzero(alg.tensor)
+    assert (nnz <= 2 * alg.dim) == sparse
+    assert (alg.plan is not None) == sparse
+    if sparse:
+        assert sum(len(ics) for _, js in alg.plan for _, ics in js) == nnz
+
+
+@pytest.mark.parametrize("alg", PRESET_ALGEBRAS + [filiform_algebra(7)] + [
+    _sparse_antisymmetric(d, seed) for d, seed in [(4, 1), (6, 2), (8, 3), (9, 4)]],
+    ids=["heisenberg", "filiform4", "engel5", "abelian2", "filiform7",
+         "sparse4", "sparse6", "sparse8", "sparse9"])
+def test_sparse_plan_bit_equal_to_dense_contraction(alg):
+    """The plan's sums round as the two einsums do, signs of zero and broadcast
+    operands included, also where several constants meet in one output."""
+    assert alg.plan is not None
+    rng = np.random.default_rng(14)
+    x, y = _signed_zero_rows(rng, 400, alg.dim)
+    x *= rng.lognormal(0.0, 3.0, size=x.shape)
+    for a, b in [(x, y), (x[5], y), (x, y[7]), (x[5], y[7]), (x[:, None], y[None, :20])]:
+        got, want = alg.bracket(a, b), alg._bracket(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _contracted_components(filt, x):
+    return [np.einsum("...j,ij->...i", x, b) for b in filt.layers]
+
+
+@pytest.mark.parametrize("preset", sorted(WALK_PRESETS))
+@pytest.mark.parametrize("choice", ["auto", "standard"])
+def test_layer_components_gather_bit_equal_to_the_contraction(preset, choice):
+    """Every preset filtration gathers each layer, and the gather is the
+    einsum's bits, signs of zero included."""
+    filt = with_defaults(build_walk_setup, preset, gauge_mode="scaled_euclidean",
+                         filtration_choice=choice).norm.filtration
+    assert all(g is not None for g in filt.gathers)
+    x, _ = _signed_zero_rows(np.random.default_rng(15), 200, filt.layers[0].shape[1])
+    for rows in (x, x[0], x[1], x[7], x[None, :9]):
+        for got, want in zip(layer_components(filt, rows), _contracted_components(filt, rows)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rotated_filtration_keeps_the_contraction():
+    filt = lower_central_filtration(ROTATED_ENGEL5)
+    assert filt.gathers == (None,) * len(filt.layers)
+    x, _ = _signed_zero_rows(np.random.default_rng(16), 100, 5)
+    for got, want in zip(layer_components(filt, x), _contracted_components(filt, x)):
+        assert np.array_equal(got, want)

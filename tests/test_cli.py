@@ -696,6 +696,11 @@ MALFORMED = [
         "atoms": [{"p": 0.5, "xi": [s, 1e300, 0], "kappa": 0} for s in (1e300, -1e300)],
         "Q": {"matrices": [C2["matrices"][0]]}}))},
      ["walk", "--config", "c.json"], 4),
+    # finite atoms whose Euclidean length (the law's radius) is past the double range
+    ("walk-atom-length-not-finite", {"c.json": json.dumps(inline_walk(n=16, reps=8, distribution={
+        "atoms": [{"p": 0.5, "xi": [s, 1.7e308, 0], "kappa": 0} for s in (1.7e308, -1.7e308)],
+        "Q": {"matrices": [C2["matrices"][0]]}}))},
+     ["walk", "--config", "c.json"], 4),
 ]
 
 
@@ -733,6 +738,8 @@ def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
                         "error: gauge calibration is not finite at weight 2: "
                         "constant inf, scale 1.131e+301"),
                        ("walk-values-not-finite", "error: walk left the floating-point "
+                        "range: replicate 0 is not finite at n=4"),
+                       ("walk-atom-length-not-finite", "error: walk left the floating-point "
                         "range: replicate 0 is not finite at n=4")]:
         files, argv, _ = next(row[1:] for row in MALFORMED if row[0] == case)
         (tmp_path / case).mkdir()

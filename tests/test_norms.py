@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nilwalk.algebra import (NilpotentAlgebra, algebra_from_json, layer_components,
                              lower_central_filtration, weighted_filtration)
 from nilwalk.errors import NumericalValidationError
-from nilwalk.norms import (DEFAULT_HULL_SAMPLES, _build_hull_layer, _hull_layer,
+from nilwalk.norms import (DEFAULT_HULL_SAMPLES, HomogeneousNorm, _build_hull_layer, _hull_layer,
                            _layer_gauge, _polygon_gauge, bilinearity_constant,
                            build_gauge,
                            coefficient_mass_bound, default_kappas, dilate,
@@ -109,6 +109,20 @@ def test_subadditivity_defect_small():
                        calibration_pairs=20_000, hull_samples=512)
     defect, pair = subadditivity_defect(norm, alg, n_pairs=20_000, seed=13)
     assert defect <= 1e-9, pair
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16])
+def test_facetless_layer_gauge_bit_equal_to_linalg_norm(dim):
+    """The column-by-column sum below 8 columns rounds as np.linalg.norm's does."""
+    filt = lower_central_filtration(abelian_algebra(dim))
+    norm = HomogeneousNorm(filtration=filt, mode="scaled_euclidean", layer_scales=[3.0],
+                           kappa=(1.0,), hull_vertices=[None], hull_facets=[None],
+                           hull_angles=[None], fallback_weights=(), bilinearity_bound=0.0)
+    rng = np.random.default_rng(dim)
+    coords = rng.normal(size=(500, dim)) * rng.lognormal(0.0, 3.0, size=(500, dim))
+    for c in (coords, coords[0], coords.reshape(50, 10, dim)):
+        got = _layer_gauge(norm, 1, c)
+        assert np.array_equal(got, np.linalg.norm(c, axis=-1) / 3.0)
 
 
 def test_abelian_single_layer_is_euclidean_scale():
