@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RANK_RTOL, Filtration, NilpotentAlgebra, layer_components, project_onto
+from .algebra import (RANK_RTOL, Filtration, NilpotentAlgebra, layer_components, project_onto,
+                      scaled_norm)
 from .bch import TABLE_CAP, bch, dynkin_table
 from .errors import NumericalValidationError
 from .rng import STREAM_GAUGE, substream
@@ -338,8 +339,8 @@ def _build_hull_layer(alg: NilpotentAlgebra, norm: HomogeneousNorm, weight: int,
     prods = alg.bracket(uu, ww) @ btarget.T
     # rows below RANK_RTOL of the largest possible bracket are rounding residue
     scale = euclidean_bilinearity_bound(alg) * float(
-        np.max(np.linalg.norm(uu, axis=1)) * np.max(np.linalg.norm(ww, axis=1)))
-    prods = prods[np.linalg.norm(prods, axis=1) > RANK_RTOL * scale]
+        np.max(scaled_norm(uu, axis=1)) * np.max(scaled_norm(ww, axis=1)))
+    prods = prods[scaled_norm(prods, axis=1) > RANK_RTOL * scale]
     if prods.shape[0] == 0:
         return None
     return kappa_w * np.vstack([prods, -prods])

@@ -27,6 +27,12 @@ sparse tensors and unit-vector layer bases, elementwise column arithmetic,
 see nilwalk.algebra), so results are bit-identical for any chunk or block
 size, and one replicate's atom choices can be redrawn from
 substream(seed, STREAM_WALK, replicate) alone.
+
+Only the recursion runs step by step: atom -> increment -> BCH product ->
+twist, plus the checkpoint's layer norms, twist and cross-check.  The atom
+draws and the gauge run once per block of STEP_BLOCK steps, on the block's
+uniforms and on its stacked positions; gauge rows round alone, so the
+running maxima hold the bytes a step-by-step gauge gives.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .semidirect import StepDistribution
 # A walk of R <= 1 024 replicates runs as one chunk, so each step's Python work
 # is paid once; a chunk's draw block, rows x steps x 2 doubles, stays 2 MiB.
 RNG_BLOCK_STEPS = 128
+# Steps whose atoms are drawn, and whose positions are gauged, in one call;
+# 16 walked no faster and held 0.9 MiB more.
+STEP_BLOCK = 8
 REPLICATE_CHUNK = 1024
 DEFAULT_MAX_WORK = 2 ** 34
 
@@ -133,35 +142,45 @@ def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> 
     z = np.zeros((r, dist.alg.dim))
     qidx = np.full(r, dist.q.identity, dtype=np.int64)
     run_max = np.zeros(r)
+    ys = np.empty((STEP_BLOCK, r, dist.alg.dim))  # a block's positions, gauged at once
 
     paths = [(STREAM_WALK, rep) for rep in range(lo, hi)]
     for step, u in substream_blocks(cfg.seed, paths, cfg.n_steps, RNG_BLOCK_STEPS):
-        for j in range(u.shape[1]):
-            n = step + j + 1
-            g = qidx * m + sampler.sample(u[:, j, :])
-            # take gathers rows several times faster than walked[g]
-            inc = walked.take(g, axis=0)
-            scale = 1.0
-            for drift in drifts:
-                scale *= n - 1
-                inc = inc + scale * drift.take(g, axis=0)
-            y = bch(dist.alg, y, inc)
-            if cfg.cross_check:
-                z = bch(dist.alg, z, raw.take(g, axis=0))
-            qidx = next_q[g]
-            val = hom_norm(cfg.norm, y)
-            run_max = np.maximum(run_max, val)
-            if n in cp_set:
-                col = cp_set[n]
-                out.running_max[lo:hi, col] = run_max
-                out.y_norm[lo:hi, col] = val
-                for li, c in enumerate(layer_components(cfg.norm.filtration, y)):
-                    out.layer_euclid[lo:hi, col, li] = np.linalg.norm(c, axis=-1)
-                out.q_index[lo:hi, col] = qidx
+        for b0 in range(0, u.shape[1], STEP_BLOCK):
+            atoms = sampler.sample(u[:, b0:b0 + STEP_BLOCK, :])
+            first = step + b0 + 1
+            # step by step: the recursion, and the checkpoint records that read
+            # this step's y, twist or z
+            for j in range(atoms.shape[1]):
+                n = first + j
+                g = qidx * m + atoms[:, j]
+                # take gathers rows several times faster than walked[g]
+                inc = walked.take(g, axis=0)
+                scale = 1.0
+                for drift in drifts:
+                    scale *= n - 1
+                    inc += scale * drift.take(g, axis=0)
+                y = bch(dist.alg, y, inc)
+                ys[j] = y
                 if cfg.cross_check:
-                    direct = recentre(dist, z, n)
-                    out.cross_residual = max(out.cross_residual,
-                                             float(np.max(np.abs(direct - y))))
+                    z = bch(dist.alg, z, raw.take(g, axis=0))
+                qidx = next_q[g]
+                if n in cp_set:
+                    col = cp_set[n]
+                    for li, c in enumerate(layer_components(cfg.norm.filtration, y)):
+                        out.layer_euclid[lo:hi, col, li] = np.linalg.norm(c, axis=-1)
+                    out.q_index[lo:hi, col] = qidx
+                    if cfg.cross_check:
+                        direct = recentre(dist, z, n)
+                        out.cross_residual = max(out.cross_residual,
+                                                 float(np.max(np.abs(direct - y))))
+            vals = hom_norm(cfg.norm, ys[:atoms.shape[1]])
+            for j, val in enumerate(vals):
+                run_max = np.maximum(run_max, val)
+                if first + j in cp_set:
+                    col = cp_set[first + j]
+                    out.running_max[lo:hi, col] = run_max
+                    out.y_norm[lo:hi, col] = val
     out.final_y[lo:hi] = y
 
 

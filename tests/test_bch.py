@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilwalk.algebra import NilpotentAlgebra
-from nilwalk.bch import TABLE_CAP, bch, dynkin_table
+from nilwalk.bch import _X, _Y, TABLE_CAP, bch, dynkin_table
 from nilwalk.presets import (abelian_algebra, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
-from oracles import filiform_rep, heisenberg_rep, rep_bch
+from oracles import filiform_rep, heisenberg_rep, rep_bch, rotate_basis
 
 
 def test_table_masses_are_the_known_ones():
@@ -88,6 +88,40 @@ def test_degree_six_against_filiform7_oracle():
         x = rng.uniform(-1.5, 1.5, size=7)
         y = rng.uniform(-1.5, 1.5, size=7)
         assert np.max(np.abs(bch(alg, x, y) - rep_bch(rep, x, y))) <= 1e-9
+
+
+def bch_by_new_sums(alg, x, y):
+    """The Dynkin sum with a new array per term, out = out + coeff * v."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    values = {(_X,): x, (_Y,): y}
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    for terms in dynkin_table(alg.step).terms:
+        for word, coeff in terms:
+            for i in range(len(word) - 2, -1, -1):
+                if word[i:] not in values:
+                    values[word[i:]] = alg.bracket(values[word[i:i + 1]], values[word[i + 1:]])
+            out = out + coeff * values[word]
+    return out
+
+
+@pytest.mark.parametrize("alg", [filiform_algebra(d) for d in range(3, 8)] + [
+    free_step3_algebra(),
+    NilpotentAlgebra(dim=5, step=3, tensor=rotate_basis(free_step3_algebra().tensor, 0)[1]),
+], ids=[f"filiform{d}" for d in range(3, 8)] + ["engel5", "rotated-engel5"])
+def test_in_place_sum_is_bit_equal_to_new_arrays(alg):
+    """bch accumulates in place; each term must round as out + coeff * v
+    does, the sign of zero included, also when a 1-D operand broadcasts."""
+    rng = np.random.default_rng(alg.dim)
+    xs = rng.normal(size=(13, alg.dim)) * rng.lognormal(0.0, 2.0, size=(13, alg.dim))
+    ys = rng.normal(size=(13, alg.dim)) * rng.lognormal(0.0, 2.0, size=(13, alg.dim))
+    xs[:2], ys[1:3] = 0.0, -0.0
+    xs[3, ::2] = ys[4, 1::2] = -0.0
+    for x, y in ((xs, ys), (xs[1], ys), (xs, ys[1]), (xs[5], ys[6]), (-0.0 * xs[0], ys[2])):
+        got, want = bch(alg, x, y), bch_by_new_sums(alg, x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_batched_matches_loop():

@@ -751,7 +751,9 @@ def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
 
 def test_brackets_near_the_top_of_the_double_range(tmp_path, capsys):
     """[e1, e2] = 1.7e308 e3 is a step-2 algebra, with no warning; its
-    scaled gauge's calibration is not finite, and the walk names that."""
+    scaled gauge's calibration is not finite, and the walk names that.  The
+    hull's products overflow too, so that gauge falls back to the same
+    calibration and error, with no warning on the way."""
     big = dict(HEIS, brackets=[[1, 2, [[3, 1.7e308]]]])
     (tmp_path / "a.json").write_text(json.dumps(big))
     (tmp_path / "c.json").write_text(json.dumps(inline_walk(algebra=big)))
@@ -759,11 +761,12 @@ def test_brackets_near_the_top_of_the_double_range(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run(["algebra-check", "--algebra", tmp_path / "a.json",
                     "--out", tmp_path / "a"]) == 0
-        assert run(["walk", "--config", tmp_path / "c.json", "--gauge", "scaled_euclidean",
-                    "--out", tmp_path / "w"]) == 4
+        for gauge in ("scaled_euclidean", "bracket_hull"):
+            assert run(["walk", "--config", tmp_path / "c.json", "--gauge", gauge,
+                        "--out", tmp_path / gauge]) == 4
     report = read_json(tmp_path / "a" / "algebra-report.json")
     assert report["step"] == 2 and report["filtration"]["layer_dims"] == [2, 1]
-    assert capsys.readouterr().err.splitlines() == [
+    assert capsys.readouterr().err.splitlines() == 2 * [
         "error: gauge calibration is not finite at weight 2: constant nan, scale inf"]
 
 

@@ -11,7 +11,7 @@ from nilwalk.norms import (DEFAULT_HULL_SAMPLES, HomogeneousNorm, _build_hull_la
                            coefficient_mass_bound, default_kappas, dilate,
                            euclidean_bilinearity_bound, gauge_descriptor,
                            hom_norm, subadditivity_defect)
-from nilwalk.presets import (abelian_algebra, filiform_algebra,
+from nilwalk.presets import (WALK_PRESETS, abelian_algebra, build_walk_setup, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
 from oracles import polygon_gauge_oracle, qhull_polytope, rotate_basis
@@ -123,6 +123,50 @@ def test_facetless_layer_gauge_bit_equal_to_linalg_norm(dim):
     for c in (coords, coords[0], coords.reshape(50, 10, dim)):
         got = _layer_gauge(norm, 1, c)
         assert np.array_equal(got, np.linalg.norm(c, axis=-1) / 3.0)
+
+
+def _rotated_engel5_gauge(mode):
+    """Dense filtration bases: layer components go through the einsum."""
+    alg = NilpotentAlgebra(dim=5, step=3, tensor=rotate_basis(free_step3_algebra().tensor, 0)[1])
+    return build_gauge(alg, lower_central_filtration(alg), mode, seed=0,
+                       calibration_pairs=20_000, hull_samples=512)
+
+
+def _abelian9_gauge(mode):
+    """One facet-less 9-dimensional layer: np.linalg.norm's pairwise sum."""
+    alg = abelian_algebra(9)
+    return build_gauge(alg, lower_central_filtration(alg), mode, seed=0,
+                       calibration_pairs=20_000, hull_samples=512)
+
+
+ROW_GAUGES = [
+    pytest.param(lambda p=preset, m=mode, c=choice: with_defaults(
+        build_walk_setup, p, gauge_mode=m, filtration_choice=c).norm,
+        id=f"{preset}-{mode}-{choice}")
+    for preset in WALK_PRESETS for mode in ("scaled_euclidean", "bracket_hull")
+    for choice in ("auto", "standard")
+] + [pytest.param(lambda m=mode: make(m), id=f"{name}-{mode}")
+     for name, make in (("rotated-engel5", _rotated_engel5_gauge), ("abelian9", _abelian9_gauge))
+     for mode in ("scaled_euclidean", "bracket_hull")]
+
+
+@pytest.mark.parametrize("make", ROW_GAUGES)
+def test_hom_norm_rows_round_alone_across_leading_axes(make):
+    """The walk gauges a block of steps in one call: each row must round as
+    it does in a call of its own step's rows, sign of zero included.  13 rows
+    a step, so SIMD loops meet remainders at different rows in the two calls."""
+    norm = make()
+    d = norm.filtration.layers[0].shape[1]
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(5, 13, d)) * rng.lognormal(0.0, 3.0, size=(5, 13, d))
+    x[0, :3] = 0.0
+    x[1, :3] = -0.0
+    x[2, ::2, ::2] = -0.0
+    whole = hom_norm(norm, x)
+    alone = np.stack([hom_norm(norm, step) for step in x])
+    assert np.array_equal(whole, alone)
+    assert np.array_equal(np.signbit(whole), np.signbit(alone))
+    assert np.array_equal(hom_norm(norm, x.reshape(-1, d)), alone.ravel())
 
 
 def test_abelian_single_layer_is_euclidean_scale():

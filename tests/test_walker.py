@@ -210,10 +210,19 @@ def drifted_random_engel5():
     return with_defaults(build_walk_setup, "custom", dist)
 
 
-BATCHING_CASES = pytest.mark.parametrize("make, kw", [
-    (lambda: with_defaults(build_walk_setup, "heisenberg-srw"), {}),
-    (drifted_random_engel5, {"cross_check": True}),
-], ids=["heisenberg-srw", "drifted-random-engel5"])
+BATCHING = [
+    pytest.param(lambda: with_defaults(build_walk_setup, "heisenberg-srw"), {},
+                 id="heisenberg-srw"),
+    pytest.param(drifted_random_engel5, {"cross_check": True}, id="drifted-random-engel5"),
+]
+BATCHING_CASES = pytest.mark.parametrize("make, kw", BATCHING)
+
+
+def sampling_blocks(n_steps, rng_block):
+    """Step blocks in one chunk, ceil(steps / STEP_BLOCK) per RNG block: the
+    calls the chunk makes to the atom sampler, and to the gauge."""
+    return sum(-(-min(rng_block, n_steps - s) // walker.STEP_BLOCK)
+               for s in range(0, n_steps, rng_block))
 
 
 @BATCHING_CASES
@@ -237,6 +246,32 @@ def test_rng_block_size_does_not_change_results(monkeypatch, make, kw):
     assert_same_samples(runs)
 
 
+@pytest.mark.parametrize("cross_check", [False, True], ids=["plain", "cross-check"])
+@pytest.mark.parametrize("make, kw", BATCHING + [
+    pytest.param(lambda: with_defaults(build_walk_setup, "r2-c4"), {}, id="r2-c4"),
+])
+def test_step_block_size_does_not_change_results(monkeypatch, make, kw, cross_check):
+    """Gauge rows round alone, so gauging a block of steps at once, not one
+    step at a time, keeps every byte; checkpoints fall at the first step,
+    inside a block, on block edges (8, 128, 136) and at n."""
+    setup = make()
+    cfg = with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=300,
+                        checkpoints=(1, 5, 8, 131, 136, 300), replications=24, seed=2,
+                        **dict(kw, cross_check=cross_check))
+    calls = []
+    real = walker.hom_norm
+    monkeypatch.setattr(walker, "hom_norm", lambda norm, x: calls.append(x.shape)
+                        or real(norm, x))
+    runs = []
+    for block in (8, 3, 1):
+        monkeypatch.setattr(walker, "STEP_BLOCK", block)
+        calls.clear()
+        runs.append(monte_carlo(cfg))
+        # one gauge call per step block, not per step
+        assert len(calls) == sampling_blocks(300, walker.RNG_BLOCK_STEPS)
+    assert_same_samples(runs)
+
+
 @pytest.mark.parametrize("block", [128, 7, 1])
 def test_walker_draws_each_replicates_own_substream(monkeypatch, block):
     """Two chunks, 300 steps: every step's uniforms are the replicate's substream."""
@@ -246,8 +281,11 @@ def test_walker_draws_each_replicates_own_substream(monkeypatch, block):
                         or real(self, u))
     monkeypatch.setattr(walker, "RNG_BLOCK_STEPS", block)
     monte_carlo(small_cfg(with_defaults(build_walk_setup, "r2-c4"), 300, 1100, seed=5))
-    assert len(drawn) == 2 * 300  # one call per step and chunk
-    u = np.concatenate([np.stack(drawn[:300], axis=1), np.stack(drawn[300:], axis=1)])
+    per_chunk = sampling_blocks(300, block)
+    assert len(drawn) == 2 * per_chunk  # one call per step block and chunk
+    # each call holds a (rows, <= STEP_BLOCK, 2) block; stitch them along the steps
+    u = np.concatenate([np.concatenate(drawn[:per_chunk], axis=1),
+                        np.concatenate(drawn[per_chunk:], axis=1)])
     for rep in range(1100):
         assert np.array_equal(u[rep], substream(5, STREAM_WALK, rep).random((300, 2))), rep
 
