@@ -153,7 +153,7 @@ class NilpotentAlgebra:
         # out's zeros.  The +0.0 start fixes every sign of zero, so m needs
         # none.  The einsums' inf * 0 = nan terms are skipped, so only
         # non-finite inputs can give other bytes.
-        out = np.zeros(x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape))
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
         with np.errstate(over="ignore", invalid="ignore"):  # einsum warns of neither
             for k, js in self.plan:
                 col = out[..., k]

@@ -115,16 +115,13 @@ def bch(alg: NilpotentAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     # right-nested word -> its value: word[i:] is [word[i], word[i+1:]]
     values = {(_X,): x, (_Y,): y}
-    out = np.zeros(x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape))
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     for terms in table.terms:
         for word, coeff in terms:
             for i in range(len(word) - 2, -1, -1):
                 if word[i:] not in values:
                     values[word[i:]] = alg.bracket(values[word[i:i + 1]], values[word[i + 1:]])
             # in place, term by term: the same sums as out = out + coeff * v
-            if coeff == 1.0:
-                out += values[word]
-            else:
-                out += coeff * values[word]
+            out += coeff * values[word]
     return out
 

@@ -57,6 +57,11 @@ def substream_blocks(seed: int, paths, steps: int, block: int):
     """Yield (s, u) for s = 0, block, 2 block, ... below steps, where u[i] is
     substream(seed, *paths[i]).random((steps, 2))[s:s + block], bit for bit.
 
+    Every u is a view of one buffer, which the next block overwrites; copy
+    u to keep it.  A fresh array per block let free heap space split
+    around the walk's smaller arrays, so a walk's peak memory depended on
+    where earlier allocations happened to sit.
+
     Per path and block, one Philox is re-keyed with an empty buffer at
     counter 2 s // 4 and skips 2 s % 4 outputs.
     """
@@ -64,8 +69,9 @@ def substream_blocks(seed: int, paths, steps: int, block: int):
     bitgen = Philox(0)  # re-keyed below; a fixed seed gathers no OS entropy
     gen = Generator(bitgen)
     state = bitgen.state
+    buf = np.empty((len(keys), min(block, steps), 2))
     for start in range(0, steps, block):
-        out = np.empty((len(keys), min(block, steps - start), 2))
+        out = buf[:, :min(block, steps - start)]
         state["state"]["counter"] = (2 * start // 4, 0, 0, 0)
         for row, key in zip(out, keys):
             state["state"]["key"] = key

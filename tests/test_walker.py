@@ -303,6 +303,14 @@ def test_substream_blocks_start_at_any_offset():
         assert starts == list(range(0, 300, block))  # 0, 7, 14, ... and 0, 256
 
 
+def test_substream_blocks_fill_one_buffer():
+    """Each block overwrites the last in place, so a walk holds one draw block."""
+    paths = [(STREAM_WALK, rep) for rep in range(3)]
+    blocks = [u for _, u in substream_blocks(2, paths, 20, 8)]  # 8, 8 and 4 steps
+    assert [u.shape[1] for u in blocks] == [8, 8, 4]
+    assert all(np.shares_memory(u, blocks[0]) for u in blocks[1:])
+
+
 def test_walk_builds_one_philox_per_chunk(monkeypatch):
     """Substreams are re-keyed, not rebuilt per replicate."""
     cfg = small_cfg(with_defaults(build_walk_setup, "r2-c4"), 4, 3000)
