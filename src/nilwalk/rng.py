@@ -23,25 +23,27 @@ STREAM_BOOTSTRAP = 3
 STREAM_SCAN = 4
 
 _MASK64 = (1 << 64) - 1
+_PATH_START = np.uint64(0x243F6A8885A308D3)
 
 
-def _splitmix64(x: int) -> int:
-    # Standard splitmix64 finalizer; good avalanche, cheap, portable.
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    # Standard splitmix64 finalizer on uint64 words (wrapping arithmetic);
+    # good avalanche, cheap, portable.
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def _mix_path(parts: tuple[int, ...]) -> int:
-    h = 0x243F6A8885A308D3
-    for p in parts:
-        h = _splitmix64(h ^ (int(p) & _MASK64))
-    return h
-
-
-def _key(seed: int, path) -> tuple[int, int]:
-    return int(seed) & _MASK64, _mix_path(tuple(path))
+def _keys(seed: int, paths) -> tuple[int, np.ndarray]:
+    """The two Philox key words of each path: the seed's, shared, and the
+    path's mix, which folds h = splitmix64(h ^ part) over the path's parts,
+    all paths at once."""
+    parts = np.asarray(paths, dtype=np.uint64)
+    mix = np.full(len(parts), _PATH_START)
+    for column in parts.T:
+        mix = _splitmix64(mix ^ column)
+    return int(seed) & _MASK64, mix
 
 
 def substream(seed: int, *path: int) -> Generator:
@@ -50,7 +52,8 @@ def substream(seed: int, *path: int) -> Generator:
     Same arguments always give the same stream; distinct paths give
     streams that never collide (128-bit Philox key).
     """
-    return Generator(Philox(key=np.array(_key(seed, path), dtype=np.uint64)))
+    word, mix = _keys(seed, [path])
+    return Generator(Philox(key=np.array([word, mix[0]], dtype=np.uint64)))
 
 
 def substream_blocks(seed: int, paths, steps: int, block: int):
@@ -65,16 +68,17 @@ def substream_blocks(seed: int, paths, steps: int, block: int):
     Per path and block, one Philox is re-keyed with an empty buffer at
     counter 2 s // 4 and skips 2 s % 4 outputs.
     """
-    keys = [_key(seed, p) for p in paths]
+    word, mixes = _keys(seed, paths)
+    mixes = mixes.tolist()
     bitgen = Philox(0)  # re-keyed below; a fixed seed gathers no OS entropy
     gen = Generator(bitgen)
     state = bitgen.state
-    buf = np.empty((len(keys), min(block, steps), 2))
+    buf = np.empty((len(mixes), min(block, steps), 2))
     for start in range(0, steps, block):
         out = buf[:, :min(block, steps - start)]
         state["state"]["counter"] = (2 * start // 4, 0, 0, 0)
-        for row, key in zip(out, keys):
-            state["state"]["key"] = key
+        for row, mix in zip(out, mixes):
+            state["state"]["key"] = (word, mix)
             bitgen.state = state
             if 2 * start % 4:
                 bitgen.random_raw(2 * start % 4)

@@ -2,7 +2,8 @@
 
 The estimators quantify how a family of samples concentrates:
 
-  * tail_curve        exceedance probabilities with exact binomial bands
+  * tail_curve        exceedance probabilities with exact 95% Clopper-Pearson
+                      bands, inverted in numpy from the binomial tail
   * fit_alpha         two independent estimates of the exponent alpha in
                       P(|f| >= t) <= c2 exp(-c1 t^alpha): one from the
                       growth of L^p norms (||f||_p ~ p^(1/alpha)), one from
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .binomial import cp_bound
 from .rng import STREAM_BOOTSTRAP, substream
 
 MOMENT_ORDERS = (2, 4, 8, 16)
@@ -30,16 +32,24 @@ SVG_FRAME = (640, 420, 56)
 
 
 def tail_curve(samples: np.ndarray, thresholds: np.ndarray):
-    """(p_hat, lower, upper) exceedance estimates with 95% Clopper-Pearson bands."""
+    """(p_hat, lower, upper) exceedance estimates with 95% Clopper-Pearson bands.
+
+    With k of the n samples at or above a threshold, the lower bound solves
+    P(Bin(n, x) >= k) = 0.025 and the upper bound P(Bin(n, x) <= k) = 0.025
+    (Clopper & Pearson, Biometrika 26, 1934); they are 0 at k = 0 and 1 at
+    k = n.  binomial.cp_bound inverts both in numpy.
+    """
     x = np.abs(np.asarray(samples, dtype=float))
     t = np.asarray(thresholds, dtype=float)
     n = x.size
     k = (x[None, :] >= t[:, None]).sum(axis=1)
     p_hat = k / n
-    # imported on first call, so importing the CLI loads no scipy submodule
-    from scipy.special import betaincinv
-    lo = np.where(k == 0, 0.0, betaincinv(np.maximum(k, 1), n - np.maximum(k, 1) + 1, 0.025))
-    hi = np.where(k == n, 1.0, betaincinv(k + 1, np.maximum(n - k, 1), 0.975))
+    lo, hi = np.zeros(k.shape), np.ones(k.shape)
+    k_lo, k_hi = k[k > 0], k[k < n]
+    bounds = cp_bound(np.concatenate([k_lo, k_hi + 1]).astype(float),
+                      np.concatenate([n - k_lo + 1, n - k_hi]).astype(float),
+                      np.arange(k_lo.size + k_hi.size) >= k_lo.size)
+    lo[k > 0], hi[k < n] = bounds[:k_lo.size], bounds[k_lo.size:]
     return p_hat, lo, hi
 
 

@@ -144,7 +144,7 @@ def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> 
     run_max = np.zeros(r)
     ys = np.empty((STEP_BLOCK, r, dist.alg.dim))  # a block's positions, gauged at once
 
-    paths = [(STREAM_WALK, rep) for rep in range(lo, hi)]
+    paths = np.column_stack([np.full(r, STREAM_WALK), np.arange(lo, hi)])
     for step, u in substream_blocks(cfg.seed, paths, cfg.n_steps, RNG_BLOCK_STEPS):
         for b0 in range(0, u.shape[1], STEP_BLOCK):
             atoms = sampler.sample(u[:, b0:b0 + STEP_BLOCK, :])

@@ -336,3 +336,60 @@ def qhull_polytope(points):
     from scipy.spatial import ConvexHull
     hull = ConvexHull(points)
     return points[np.sort(hull.vertices)], hull.equations[:, :-1], -hull.equations[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# random stream keys, one path at a time in Python integers
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x):
+    """The splitmix64 finalizer on one Python integer."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def philox_key(seed, path):
+    """(seed word, path mix) keying substream(seed, *path): the mix folds
+    h = splitmix64(h ^ part) over the parts from a fixed start."""
+    h = 0x243F6A8885A308D3
+    for part in path:
+        h = splitmix64(h ^ (int(part) & MASK64))
+    return int(seed) & MASK64, h
+
+
+# ---------------------------------------------------------------------------
+# Clopper-Pearson bounds as roots of the exact binomial tail
+
+
+def binomial_tail_root(n, k, upper, start):
+    """The x with P(Bin(n, x) <= k) = 0.025 (upper) or P(Bin(n, x) >= k) =
+    0.025, by Newton steps in mpmath to 30 significant digits from start.
+    The tail is summed term by term from k away from the mode until the
+    terms fall below 1e-40 of the sum."""
+    import mpmath
+    with mpmath.workdps(40):
+        target, tol = mpmath.mpf(0.025), mpmath.mpf(10) ** -40
+        x = mpmath.mpf(start)
+        for _ in range(60):
+            term = mpmath.binomial(n, k) * x ** k * (1 - x) ** (n - k)
+            total, i = term, k
+            while term > tol * total and (i > 0 if upper else i < n):
+                if upper:
+                    term *= i / mpmath.mpf(n - i + 1) * (1 - x) / x
+                    i -= 1
+                else:
+                    term *= (n - i) / mpmath.mpf(i + 1) * x / (1 - x)
+                    i += 1
+                total += term
+            # d/dx P(Bin(n, x) >= j) = n C(n - 1, j - 1) x^(j - 1) (1 - x)^(n - j)
+            j = k + 1 if upper else k
+            slope = n * mpmath.binomial(n - 1, j - 1) * x ** (j - 1) * (1 - x) ** (n - j)
+            step = (total - target) / (-slope if upper else slope)
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** -32 * x:
+                return x
+    raise ArithmeticError(f"no root for n={n} k={k}")

@@ -9,9 +9,11 @@ Every dataclass field must be read as an attribute somewhere in
 src/nilwalk, with no exceptions.
 The number of settable values is held at or below SETTABLE_CEILING.
 The third-party modules the package imports are exactly its declared
-runtime dependencies, no module imports scipy.spatial, the package root
-loads no module, importing the CLI loads no scipy submodule, and a preset
-hull walk or split scan loads neither scipy.spatial nor scipy.linalg.
+runtime dependencies, numpy alone; scipy is a test-only reference.  No
+module imports scipy.spatial, the package root loads no module, importing
+the CLI loads no schema library or scipy module, a preset hull walk or
+split scan loads neither scipy.spatial nor scipy.linalg, and fit loads no
+scipy module at all.
 """
 
 import ast
@@ -31,7 +33,7 @@ import nilwalk
 SRC = Path(nilwalk.__file__).parent
 KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
 SETTABLE_CEILING = 6
-RUNTIME_DEPENDENCIES = {"numpy", "scipy"}
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 
 class Definition(NamedTuple):
@@ -197,7 +199,8 @@ def test_package_root_loads_no_other_module():
 
 
 def test_cli_import_loads_no_schema_library_or_scipy_submodule():
-    """scipy submodules are imported inside the functions that call them."""
+    """Config schemas are checked in nilwalk itself, and no nilwalk module
+    imports scipy."""
     heavy = {"jsonschema", "scipy.stats", "scipy.special", "scipy.linalg", "scipy.spatial"}
     assert not heavy & loaded_modules("import nilwalk.cli")
 
@@ -211,6 +214,18 @@ def test_preset_commands_load_no_hull_or_linalg_module(argv, tmp_path):
     loaded = loaded_modules("from nilwalk.cli import main\n"
                             f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0")
     assert not {"scipy.spatial", "scipy.linalg"} & loaded
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    """The Clopper-Pearson band is inverted in numpy, so fit runs without scipy."""
+    from nilwalk.cli import main
+    assert main(["walk", "--preset", "heisenberg-srw", "--n", "16", "--reps", "40",
+                 "--out", str(tmp_path / "w")]) == 0
+    argv = ["fit", "--csv", str(tmp_path / "w" / "walk.csv"), "--bootstrap", "5",
+            "--lil-alpha", "0.5", "--svg", "--out", str(tmp_path / "f")]
+    loaded = loaded_modules(f"from nilwalk.cli import main\nassert main({argv!r}) == 0")
+    assert (tmp_path / "f" / "fit-tail.csv").exists()
+    assert not {name for name in loaded if name == "scipy" or name.startswith("scipy.")}
 
 
 def test_benchmark_shim_names_resolve():

@@ -7,7 +7,8 @@ from nilwalk import stats
 from nilwalk.stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
                            render_tail_svg, tail_curve)
 
-from oracles import direct_fit_once, exponential_p_norm, gaussian_p_norm
+from oracles import (binomial_tail_root, direct_fit_once, exponential_p_norm,
+                     gaussian_p_norm)
 from schema_defaults import with_defaults
 
 
@@ -127,6 +128,45 @@ def test_tail_curve_exponential_coverage():
     for ti, pi, l, u in zip(t[1:3], p[1:3], lo[1:3], hi[1:3]):
         assert l <= pi <= u
         assert l <= np.exp(-ti) <= u
+
+
+def count_band(n, k):
+    """tail_curve on the samples 1 .. n at thresholds with k samples at or above."""
+    return tail_curve(np.arange(1, n + 1), n + 1 - np.asarray(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1_000, 20_000, 100_000])
+def test_band_matches_betaincinv(n):
+    """Both bounds agree with scipy's betaincinv to 1e-12 relative; where
+    they differ by more than 1e-13, the exact binomial tail's root decides,
+    and the band must be the one within 1e-13 of it."""
+    from scipy.special import betaincinv
+    k = np.unique(np.r_[[0, 1, 2, n // 2, n - 2, n - 1, n], np.linspace(0, n, 30).astype(int)])
+    k = k[(k >= 0) & (k <= n)]
+    p, lo, hi = count_band(n, k)
+    assert np.array_equal(p, k / n)
+    assert np.all(lo <= p) and np.all(p <= hi)
+    assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
+    assert lo[0] == 0.0 and hi[-1] == 1.0  # k = 0 and k = n
+    for bound, ks, ref, upper in [
+            (lo[1:], k[1:], betaincinv(k[1:], n - k[1:] + 1, 0.025), False),
+            (hi[:-1], k[:-1], betaincinv(k[:-1] + 1, n - k[:-1], 0.975), True)]:
+        gap = np.abs(bound - ref) / ref
+        assert gap.max() <= 1e-12, (upper, ks[gap.argmax()], gap.max())
+        for j in np.flatnonzero(gap > 1e-13):
+            exact = binomial_tail_root(n, int(ks[j]), upper, ref[j])
+            assert abs(bound[j] - exact) <= 1e-13 * exact, (upper, ks[j])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_small_upper_bound_at_large_n_matches_exact_tail(k):
+    """At n 10^6 scipy's betaincinv misses these upper bounds by 1e-12 and
+    1e-11 relative; the band tracks the exact tail's root to 1e-14."""
+    n = 10 ** 6
+    _, lo, hi = count_band(n, [k])
+    for bound, upper in ((lo[0], False), (hi[0], True)):
+        exact = binomial_tail_root(n, k, upper, bound)
+        assert abs(bound - exact) <= 1e-14 * exact, upper
 
 
 def test_lil_exact_rate_not_flagged():

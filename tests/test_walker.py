@@ -7,12 +7,12 @@ from nilwalk.bch import bch
 from nilwalk.errors import ResourceCeilingError
 from nilwalk.norms import build_gauge, hom_norm
 from nilwalk.presets import abelian_algebra, build_walk_setup, free_step3_algebra
-from nilwalk.rng import STREAM_WALK, AliasSampler, substream, substream_blocks
+from nilwalk.rng import STREAM_SCAN, STREAM_WALK, AliasSampler, substream, substream_blocks
 from nilwalk.semidirect import StepDistribution, finite_group
 from nilwalk import groups, rng, walker
 from nilwalk.walker import WalkConfig, monte_carlo, recentre
 
-from oracles import heisenberg_rep, nilpotent_expm, nilpotent_logm, rep_matrix
+from oracles import heisenberg_rep, nilpotent_expm, nilpotent_logm, philox_key, rep_matrix
 from schema_defaults import with_defaults
 
 
@@ -301,6 +301,21 @@ def test_substream_blocks_start_at_any_offset():
             for row, ref in zip(u, whole):
                 assert np.array_equal(row, ref[start:start + block])
         assert starts == list(range(0, 300, block))  # 0, 7, 14, ... and 0, 256
+
+
+@pytest.mark.parametrize("seed", [0, 5, (1 << 64) + 7])
+def test_stream_keys_match_python_integer_route(seed):
+    """The vectorised splitmix64 gives each path the key that folding Python
+    integers part by part gives, bit for bit."""
+    paths = [(STREAM_WALK, rep) for rep in range(300)] + [
+        (0, 0), (0, (1 << 63) - 1), ((1 << 63) - 1, 0), (STREAM_SCAN, 1 << 40)]
+    word, mixes = rng._keys(seed, paths)
+    assert [(word, int(mix)) for mix in mixes] == [philox_key(seed, p) for p in paths]
+    assert rng._keys(seed, [()])[1].tolist() == [philox_key(seed, ())[1]]
+    for path in paths[-4:]:
+        key = np.array(philox_key(seed, path), dtype=np.uint64)
+        assert np.array_equal(substream(seed, *path).random(4),
+                              np.random.Generator(np.random.Philox(key=key)).random(4))
 
 
 def test_substream_blocks_fill_one_buffer():
