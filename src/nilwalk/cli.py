@@ -34,7 +34,7 @@ from .presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, WALK_PRESETS, build_walk_s
                       stay_diagnostic)
 from .semidirect import distribution_from_json
 from .splitting import delta_ratio_scan
-from .stats import (fit_alpha, lil_diagnostic, render_histogram_svg,
+from .stats import (distinct, fit_alpha, lil_diagnostic, quantiles, render_histogram_svg,
                     render_tail_svg, tail_curve)
 from .walker import WalkConfig, monte_carlo
 
@@ -366,7 +366,7 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     steps = data[:, ni]
     if np.any((steps < 1) | (steps > 2.0 ** 53) | (steps != np.floor(steps))):
         raise SchemaError(f"{path}: n must be a positive integer at most 2^53")
-    ns = np.unique(steps).astype(int)
+    ns = distinct(steps).astype(int)
     samples = {int(nv): data[steps == nv, ci] for nv in ns}
     if cfg.get("lil_alpha") is not None:
         # y_norm per replicate at each dyadic n >= 4, checked before any output
@@ -375,7 +375,7 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
         if dyadic.size == 0:
             raise SchemaError(f"{path}: --lil-alpha needs a checkpoint n >= 4 "
                               "that is a power of two")
-        reps = np.unique(data[:, ri])
+        reps = distinct(data[:, ri])
         mat = np.empty((reps.size, dyadic.size))
         for j, nv in enumerate(dyadic):
             rows = data[steps == nv]
@@ -390,7 +390,7 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     final = samples[int(ns[-1])]
     pos = np.abs(final[np.abs(final) > 0])
     if pos.size:
-        t_grid = np.geomspace(np.quantile(pos, 0.5), pos.max() * 1.05, 33)
+        t_grid = np.geomspace(quantiles(pos, 0.5), pos.max() * 1.05, 33)
     else:
         t_grid = np.linspace(0.0, 1.0, 5)
     p_hat, lo, hi = tail_curve(final, t_grid)

@@ -13,7 +13,7 @@ runtime dependencies, numpy alone; scipy is a test-only reference.  No
 module imports scipy.spatial, the package root loads no module, importing
 the CLI loads no schema library or scipy module, a preset hull walk or
 split scan loads neither scipy.spatial nor scipy.linalg, and fit loads no
-scipy module at all.
+scipy module at all and not numpy.ma.
 """
 
 import ast
@@ -216,16 +216,30 @@ def test_preset_commands_load_no_hull_or_linalg_module(argv, tmp_path):
     assert not {"scipy.spatial", "scipy.linalg"} & loaded
 
 
-def test_fit_loads_no_scipy(tmp_path):
-    """The Clopper-Pearson band is inverted in numpy, so fit runs without scipy."""
+@pytest.fixture(scope="module")
+def fit_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after a fit with every output on."""
     from nilwalk.cli import main
+    tmp_path = tmp_path_factory.mktemp("fit")
     assert main(["walk", "--preset", "heisenberg-srw", "--n", "16", "--reps", "40",
                  "--out", str(tmp_path / "w")]) == 0
     argv = ["fit", "--csv", str(tmp_path / "w" / "walk.csv"), "--bootstrap", "5",
             "--lil-alpha", "0.5", "--svg", "--out", str(tmp_path / "f")]
     loaded = loaded_modules(f"from nilwalk.cli import main\nassert main({argv!r}) == 0")
     assert (tmp_path / "f" / "fit-tail.csv").exists()
-    assert not {name for name in loaded if name == "scipy" or name.startswith("scipy.")}
+    return loaded
+
+
+def test_fit_loads_no_scipy(fit_modules):
+    """The Clopper-Pearson band is inverted in numpy, so fit runs without scipy."""
+    assert not {name for name in fit_modules if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_fit_loads_no_numpy_ma(fit_modules):
+    """np.unique, np.quantile, np.percentile and np.median import numpy.ma
+    on every call; fit takes its distinct values, quantiles and medians from
+    stats instead."""
+    assert "numpy.ma" not in fit_modules
 
 
 def test_benchmark_shim_names_resolve():

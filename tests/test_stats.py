@@ -87,30 +87,74 @@ def _fit_cases():
         "zeros": ({1: zeros, 2: rng.normal(size=200)}, 40),
         "degenerate": ({1: np.full(50, 2.0), 2: np.full(80, 2.0)}, 20),
         "no-bootstrap": ({4: rng.normal(size=2000), 8: rng.exponential(size=900)}, 0),
+        # one sample's 16th power overflows, so some resamples have a finite
+        # moment sum and some do not
+        "overflow": ({1: np.where(np.arange(300) == 7, 1e20, rng.normal(size=300)),
+                      2: rng.normal(size=100)}, 40),
     }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(_fit_cases()))
 def test_fit_alpha_bit_equal_to_direct_route(monkeypatch, case):
-    """The tabulated powers and reached-grid counts give every field, bit for
-    bit, that resampled powers and broadcast comparisons give."""
+    """Tabulated powers and reached-grid counts, reweighted by each
+    resample's counts, give every field that the resampled groups run
+    through the definitions give: bit for bit, except alpha_moments_ci,
+    whose resample moment sums are added in another order."""
     samples, n_boot = _fit_cases()[case]
     fast = fit_alpha(samples, n_bootstrap=n_boot, seed=3)
     groups = [np.abs(g) for g in samples.values()]
-    monkeypatch.setattr(stats, "_fit_alpha_once", lambda tables, t_grid, picks: direct_fit_once(
-        [g[pick] for g, pick in zip(groups, picks)], t_grid,
-        stats.MOMENT_ORDERS, stats.TAIL_WINDOW))
+    by_counts, pairs = stats._fit_alpha_once, []
+
+    def direct_once(tables, t_grid, counts):
+        counts = list(counts)
+        resampled = [g if w is None else np.repeat(g, w.astype(int))
+                     for g, w in zip(groups, counts)]
+        want = direct_fit_once(resampled, t_grid, stats.MOMENT_ORDERS, stats.TAIL_WINDOW)
+        pairs.append((by_counts(tables, t_grid, counts), want))
+        return want
+
+    monkeypatch.setattr(stats, "_fit_alpha_once", direct_once)
     direct = fit_alpha(samples, n_bootstrap=n_boot, seed=3)
+    assert len(pairs) == n_boot + 1
+    for (am, _, at, *_), (want_am, _, want_at, *_) in pairs:
+        assert np.isfinite(am) == np.isfinite(want_am)
+        if np.isfinite(am):
+            assert am == pytest.approx(want_am, rel=1e-13, abs=0)
+        assert np.array_equal(at, want_at, equal_nan=True)
     assert fast.keys() == direct.keys()
     for key in fast:
         got, want = fast[key], direct[key]
         if key == "flags":
             assert got == want
+        elif key == "alpha_moments_ci":
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         else:
             assert np.array_equal(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
                                   equal_nan=True), key
     if case == "degenerate":
         assert "degenerate-samples" in fast["flags"]
+    if case == "overflow":
+        assert "moment-overflow" in fast["flags"]
+        assert len({bool(np.isfinite(pair[0][0])) for pair in pairs[1:]}) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 20_001])
+def test_distinct_quantiles_and_median_match_numpy(n):
+    """stats' numpy.ma-free replacements give numpy's results bit for bit,
+    on ties too."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_t(2, size=n)
+    x[::3] = np.round(x[::3])
+    assert np.array_equal(stats.distinct(x), np.unique(x))
+    q = [0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0]
+    assert np.array_equal(stats.quantiles(x, q), np.quantile(x, q))
+    assert stats.quantiles(x, 0.5) == np.quantile(x, 0.5)
+    assert np.array_equal(stats.quantiles(x, [0.025, 0.975]), np.percentile(x, [2.5, 97.5]))
+    assert np.array_equal(stats.quantiles(x, [0.25, 0.5, 0.75]), np.percentile(x, [25, 50, 75]))
+    assert stats.median(x, None) == np.median(x)
+    table = rng.exponential(size=(n, 5))
+    assert np.array_equal(stats.median(table, 0), np.median(table, axis=0))
 
 
 def test_empty_input_rejected():
