@@ -30,6 +30,13 @@ flagged.  A hull of N points in dimension k can have on the order of
 N^(k // 2) facets (McMullen's upper bound theorem), and any two homogeneous
 gauges agree up to constants, so the fallback moves the bounds only by
 constants.
+
+Every gauge records bilinearity_bound, an upper bound on sup |[u, v]| over
+its unit ball, computed in closed form from the layers as built (facets,
+vertices and scales; see bilinearity_certificate).  The calibration above
+still samples.  The walk reads only the running max of |y| between
+checkpoints, so running_norm gauges a polygon layer only on the rows where
+a Lipschitz bound says it could raise that max.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 
 from .algebra import (RANK_RTOL, Filtration, NilpotentAlgebra, layer_components, project_onto,
                       scaled_norm)
-from .bch import TABLE_CAP, bch, dynkin_table
+from .bch import TABLE_CAP, dynkin_table
 from .errors import NumericalValidationError
 from .rng import STREAM_GAUGE, substream
 
@@ -135,17 +142,54 @@ def _polygon_gauge(angles: np.ndarray, facets: np.ndarray,
     return np.max(ratios, axis=-1)
 
 
+def _layer_term(norm: HomogeneousNorm, weight: int, coords: np.ndarray) -> np.ndarray:
+    """phi_i(x_i)^(1/i), the layer's share of |x|."""
+    return np.maximum(_layer_gauge(norm, weight, coords), 0.0) ** (1.0 / weight)
+
+
 def hom_norm(norm: HomogeneousNorm, x: np.ndarray) -> np.ndarray | float:
     """|x| = max_i phi_i(x_i)^(1/i); scalar in, scalar out."""
     x = np.asarray(x, dtype=float)
     comps = layer_components(norm.filtration, x)
     out = np.zeros(x.shape[:-1])
     for i, coords in enumerate(comps):
-        if coords.shape[-1] == 0:
-            continue
-        g = _layer_gauge(norm, i + 1, coords)
-        out = np.maximum(out, np.maximum(g, 0.0) ** (1.0 / (i + 1)))
+        if coords.shape[-1]:
+            out = np.maximum(out, _layer_term(norm, i + 1, coords))
     return float(out) if out.ndim == 0 else out
+
+
+def running_norm(norm: HomogeneousNorm, x: np.ndarray, floor: np.ndarray,
+                 exact: np.ndarray) -> np.ndarray:
+    """|x| for a block of walk positions x (steps, rows, d), exact where it
+    could exceed floor (per row) and on every row of the steps where exact
+    is set; elsewhere the same max with any running max >= floor.
+
+    Every layer but a polygon is gauged on every row.  A polygon layer has
+    phi_i(x_i) <= ||x_i|| / min_f b_f, its facet normals a_f being unit
+    vectors, and is gauged only on the rows whose bound
+    (||x_i|| / min_f b_f)^(1/i), raised by 1e-9 for rounding, is not below
+    max(floor, the other layers' value).  On the others its term is below
+    that max, so max(running max, value) holds the bytes |x| gives; "not
+    below" sends a NaN or inf bound to the gauge.
+    """
+    comps = layer_components(norm.filtration, x)
+    out = np.zeros(x.shape[:-1])
+    polygons = []
+    for i, coords in enumerate(comps):
+        if norm.hull_angles[i] is not None:
+            polygons.append(i)
+        elif coords.shape[-1]:
+            out = np.maximum(out, _layer_term(norm, i + 1, coords))
+    floor = np.maximum(out, floor)
+    for i in polygons:
+        inradius = np.min(norm.hull_facets[i][:, 2])
+        tiny = np.finfo(float).tiny  # the absolute rounding of subnormal facet products
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are gauged
+            reach = np.linalg.norm(comps[i], axis=-1) / inradius * (1.0 + 1e-9) + tiny
+            rows = ~(reach ** (1.0 / (i + 1)) < floor)
+        rows[exact] = True
+        out[rows] = np.maximum(out[rows], _layer_term(norm, i + 1, comps[i][rows]))
+    return out
 
 
 def dilate(filt: Filtration, r: float, x: np.ndarray) -> np.ndarray:
@@ -174,36 +218,6 @@ def _sample_ball(rng, norm: HomogeneousNorm, count: int, upto_weight: int,
         coords = dirs * (radii / np.maximum(g, 1e-300))[:, None]
         out += coords @ basis
     return out
-
-
-def bilinearity_constant(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int, seed: int) -> float:
-    """Sampled sup of phi([u, v]) over unit-ball pairs.
-
-    A lower estimate of the true constant: sampling can only miss the sup.
-    """
-    rng = substream(seed, STREAM_GAUGE, 1)
-    depth = norm.filtration.depth
-    u = _sample_ball(rng, norm, n_pairs, depth)
-    v = _sample_ball(rng, norm, n_pairs, depth)
-    vals = hom_norm(norm, alg.bracket(u, v))
-    return float(np.max(vals)) if n_pairs else 0.0
-
-
-def subadditivity_defect(norm: HomogeneousNorm, alg: NilpotentAlgebra,
-                         n_pairs: int, seed: int):
-    """max |u * v| - |u| - |v| over pairs sampled in the euclidean box [-1, 1]^d.
-
-    Returns (defect, (u, v)) with the maximizing pair; a positive defect
-    exhibits a violation of the triangle inequality.
-    """
-    rng = substream(seed, STREAM_GAUGE, 2)
-    d = alg.dim
-    u = rng.uniform(-1.0, 1.0, size=(n_pairs, d))
-    v = rng.uniform(-1.0, 1.0, size=(n_pairs, d))
-    defects = hom_norm(norm, bch(alg, u, v)) - hom_norm(norm, u) - hom_norm(norm, v)
-    k = int(np.argmax(defects))
-    return float(defects[k]), (u[k], v[k])
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +321,65 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
             raise NumericalValidationError(f"gauge calibration is not finite at weight {w}: "
                                            f"constant {worst:.3e}, scale {scales[i]:.3e}")
 
-    norm.bilinearity_bound = bilinearity_constant(
-        norm, alg, n_pairs=min(20_000, calibration_pairs), seed=seed)
+    norm.bilinearity_bound = bilinearity_certificate(norm, alg)
     return norm
+
+
+def _pair_sups(m: np.ndarray, ball_j, ball_k) -> np.ndarray:
+    """sup of x^T m[f] y over x in B_j, y in B_k, for each f.
+
+    A ball is (vertices, 1.0) for a segment or polygon and (None, lambda)
+    for a euclidean ball of radius lambda.  The form peaks at a pair of
+    vertices and, against a euclidean ball, at lambda ||m^T x||.  Of two
+    polygons the second is widened to its circumscribed disc, so the cost
+    stays linear in their vertex counts."""
+    (vj, rj), (vk, rk) = ball_j, ball_k
+    if vj is not None and vk is not None and min(len(vj), len(vk)) > 2:
+        vk, rk = None, float(np.max(np.linalg.norm(vk, axis=1)))
+    if vj is not None and vk is not None:
+        return np.einsum("pa,fab,qb->fpq", vj, m, vk).max(axis=(1, 2))
+    if vj is not None:
+        return rk * np.linalg.norm(np.einsum("pa,fab->fpb", vj, m), axis=-1).max(axis=1)
+    if vk is not None:
+        return rj * np.linalg.norm(np.einsum("fab,qb->fqa", m, vk), axis=-1).max(axis=1)
+    return rj * rk * np.linalg.norm(m, 2, axis=(1, 2))
+
+
+def bilinearity_certificate(norm: HomogeneousNorm, alg: NilpotentAlgebra) -> float:
+    """An upper bound on sup |[u, v]| over the gauge's unit ball, in closed form.
+
+    The unit ball is the product of the layer balls B_j, and the weight-i
+    part of [u, v] is sum_{j+k<=i} T_jk(u_j, v_k), T_jk the bracket of
+    layers j and k in layer i's coordinates ([m_j, m_k] lies in F^(j+k),
+    orthogonal to layer i when j + k > i).  A segment or polygon target has
+    phi_i(z) = max_f w_f.z, w_f = a_f / b_f, so phi_i([u, v]_i) <= max_f
+    sum_{j,k} sup over B_j x B_k of w_f.T_jk; a euclidean target takes the
+    same sums per coordinate, and their root sum of squares over lambda_i.
+    The bound is the largest weight's value to the 1/i, raised by 16 ulp
+    for the rounding of the sums.
+    """
+    layers = norm.filtration.layers
+    basis = np.vstack(layers)
+    t = np.einsum("pqr,cr->pqc", alg.tensor, basis)  # the tensor in layer coordinates
+    t = np.einsum("pbc,ap->abc", np.einsum("pqc,bq->pbc", t, basis), basis)
+    ends = np.cumsum([0] + [b.shape[0] for b in layers])
+    balls = [(None, norm.layer_scales[j]) if facets is None else (norm.hull_vertices[j], 1.0)
+             for j, facets in enumerate(norm.hull_facets)]
+    bound = 0.0
+    for i in range(len(layers)):
+        if ends[i] == ends[i + 1]:
+            continue
+        facets = norm.hull_facets[i]
+        w = np.eye(ends[i + 1] - ends[i]) if facets is None else facets[:, :-1] / facets[:, -1:]
+        sums = np.zeros(len(w))
+        for j in range(i):
+            for k in range(i - j):  # weights (j + 1) + (k + 1) <= i + 1
+                tjk = t[ends[j]:ends[j + 1], ends[k]:ends[k + 1], ends[i]:ends[i + 1]]
+                if np.any(tjk):
+                    sums += _pair_sups(np.einsum("abc,fc->fab", tjk, w), balls[j], balls[k])
+        top = np.max(sums) if facets is not None else np.linalg.norm(sums) / norm.layer_scales[i]
+        bound = max(bound, float(top) ** (1.0 / (i + 1)))
+    return bound * (1.0 + 16 * float(np.finfo(float).eps))
 
 
 def _build_hull_layer(alg: NilpotentAlgebra, norm: HomogeneousNorm, weight: int,
@@ -358,7 +428,6 @@ def gauge_descriptor(norm: HomogeneousNorm) -> dict:
         "layer_dims": list(norm.filtration.layer_dims()),
         "kappa": [float(k) for k in norm.kappa],
         "layer_scales": [float(s) for s in norm.layer_scales],
-        "hull_vertices": [None if v is None else [[float(c) for c in row] for row in v]
-                          for v in norm.hull_vertices],
+        "hull_vertices": [None if v is None else v.tolist() for v in norm.hull_vertices],
         "fallback_weights": list(norm.fallback_weights),
     }

@@ -32,7 +32,12 @@ Only the recursion runs step by step: atom -> increment -> BCH product ->
 twist, plus the checkpoint's layer norms, twist and cross-check.  The atom
 draws and the gauge run once per block of STEP_BLOCK steps, on the block's
 uniforms and on its stacked positions; gauge rows round alone, so the
-running maxima hold the bytes a step-by-step gauge gives.
+running maxima hold the bytes a step-by-step gauge gives.  A gauge with a
+polygon layer (engel5's hull gauge) goes through norms.running_norm: its
+other layers are gauged on every row, and the polygon only on checkpoint
+rows and on rows whose bound is not below max(other layers, running max at
+the block's start).  A skipped polygon term lies below a value the running
+max takes anyway, so every byte stays as the full gauge leaves it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 
 from .algebra import layer_components
 from .bch import bch
-from .norms import HomogeneousNorm, hom_norm
+from .norms import HomogeneousNorm, hom_norm, running_norm
 from .errors import ResourceCeilingError
 from .rng import STREAM_WALK, AliasSampler, substream_blocks
 from .semidirect import StepDistribution
@@ -143,6 +148,8 @@ def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> 
     qidx = np.full(r, dist.q.identity, dtype=np.int64)
     run_max = np.zeros(r)
     ys = np.empty((STEP_BLOCK, r, dist.alg.dim))  # a block's positions, gauged at once
+    # a polygon layer is gauged only where it could raise the running max
+    polygons = any(a is not None for a in cfg.norm.hull_angles)
 
     paths = np.column_stack([np.full(r, STREAM_WALK), np.arange(lo, hi)])
     for step, u in substream_blocks(cfg.seed, paths, cfg.n_steps, RNG_BLOCK_STEPS):
@@ -174,7 +181,12 @@ def _run_chunk(cfg: WalkConfig, tables, out: SampleMatrix, lo: int, hi: int) -> 
                         direct = recentre(dist, z, n)
                         out.cross_residual = max(out.cross_residual,
                                                  float(np.max(np.abs(direct - y))))
-            vals = hom_norm(cfg.norm, ys[:atoms.shape[1]])
+            block = ys[:atoms.shape[1]]
+            if polygons:
+                at_cp = np.array([first + j in cp_set for j in range(len(block))])
+                vals = running_norm(cfg.norm, block, run_max, at_cp)
+            else:
+                vals = hom_norm(cfg.norm, block)
             for j, val in enumerate(vals):
                 run_max = np.maximum(run_max, val)
                 if first + j in cp_set:

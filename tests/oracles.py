@@ -3,7 +3,10 @@
 Everything here deliberately avoids the implementation under test:
 group products go through faithful matrix representations, series are
 summed directly, filtrations are rebuilt by brute-force span closure,
-and moment constants come from closed-form Gamma expressions.
+and moment constants come from closed-form Gamma expressions.  The one
+exception is the pair of sampled gauge constants: they draw pairs through
+the gauge's own ball sampler and measure them with hom_norm, the lower
+estimates that the closed-form bilinearity bound is held against.
 """
 
 import math
@@ -336,6 +339,39 @@ def qhull_polytope(points):
     from scipy.spatial import ConvexHull
     hull = ConvexHull(points)
     return points[np.sort(hull.vertices)], hull.equations[:, :-1], -hull.equations[:, -1]
+
+
+def bilinearity_constant(norm, alg, n_pairs, seed):
+    """Sampled sup of phi([u, v]) over unit-ball pairs.
+
+    A lower estimate of the true constant: sampling can only miss the sup.
+    """
+    from nilwalk.norms import _sample_ball, hom_norm
+    from nilwalk.rng import STREAM_GAUGE, substream
+    rng = substream(seed, STREAM_GAUGE, 1)
+    depth = norm.filtration.depth
+    u = _sample_ball(rng, norm, n_pairs, depth)
+    v = _sample_ball(rng, norm, n_pairs, depth)
+    vals = hom_norm(norm, alg.bracket(u, v))
+    return float(np.max(vals)) if n_pairs else 0.0
+
+
+def subadditivity_defect(norm, alg, n_pairs, seed):
+    """max |u * v| - |u| - |v| over pairs sampled in the euclidean box [-1, 1]^d.
+
+    Returns (defect, (u, v)) with the maximizing pair; a positive defect
+    exhibits a violation of the triangle inequality.
+    """
+    from nilwalk.bch import bch
+    from nilwalk.norms import hom_norm
+    from nilwalk.rng import STREAM_GAUGE, substream
+    rng = substream(seed, STREAM_GAUGE, 2)
+    d = alg.dim
+    u = rng.uniform(-1.0, 1.0, size=(n_pairs, d))
+    v = rng.uniform(-1.0, 1.0, size=(n_pairs, d))
+    defects = hom_norm(norm, bch(alg, u, v)) - hom_norm(norm, u) - hom_norm(norm, v)
+    k = int(np.argmax(defects))
+    return float(defects[k]), (u[k], v[k])
 
 
 # ---------------------------------------------------------------------------

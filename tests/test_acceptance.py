@@ -22,8 +22,7 @@ from nilwalk.algebra import (layer_components, lower_central_filtration,
                              lower_central_series, weighted_filtration)
 from nilwalk.bch import bch
 from nilwalk.cli import default_checkpoints, main
-from nilwalk.norms import (bilinearity_constant, build_gauge, default_kappas,
-                           dilate, hom_norm, subadditivity_defect)
+from nilwalk.norms import build_gauge, default_kappas, dilate, hom_norm
 from nilwalk.presets import (ALGEBRA_PRESETS, SPLIT_PRESETS, abelian_algebra,
                              build_walk_setup, filiform_algebra, heisenberg_algebra)
 from nilwalk.semidirect import StepDistribution, conjugate_distribution, finite_group
@@ -31,8 +30,8 @@ from nilwalk.splitting import Lift, big_delta, delta, delta_ratio_scan
 from nilwalk.stats import fit_alpha, lil_diagnostic
 from nilwalk.walker import WalkConfig, monte_carlo
 
-from oracles import (filiform_rep, heisenberg_rep, nilpotent_expm,
-                     nilpotent_logm, rep_coordinates, rep_matrix)
+from oracles import (bilinearity_constant, filiform_rep, heisenberg_rep, nilpotent_expm,
+                     nilpotent_logm, rep_coordinates, rep_matrix, subadditivity_defect)
 from schema_defaults import with_defaults
 
 MOMENT_ORDERS = (2, 4, 8, 16)

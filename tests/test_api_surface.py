@@ -31,7 +31,7 @@ import pytest
 import nilwalk
 
 SRC = Path(nilwalk.__file__).parent
-KEEP = {"dilate", "subadditivity_defect", "delta", "big_delta", "thread_cap"}
+KEEP = {"dilate", "delta", "big_delta", "thread_cap"}
 SETTABLE_CEILING = 6
 RUNTIME_DEPENDENCIES = {"numpy"}
 

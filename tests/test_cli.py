@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nilwalk import walker
+from nilwalk import norms, walker
 from nilwalk.cli import BOUNDS, CONFIG_SCHEMA, _check, default_checkpoints, main, validate_config
 from nilwalk.errors import SchemaError
 from nilwalk.manifest import read_csv_columns, sha256_file
@@ -747,6 +747,30 @@ def test_walk_errors_name_where_a_value_left_the_double_range(tmp_path, capsys):
             warnings.simplefilter("error")
             assert run_malformed(tmp_path / case, capsys, files, argv) == (4, [line])
         assert not (tmp_path / case / "o" / "walk.csv").exists()
+
+
+def test_a_polygon_gauged_walk_that_leaves_the_double_range_exits_4(tmp_path, capsys,
+                                                                   monkeypatch):
+    """engel5's hull gauge bounds its weight-3 polygon before gauging it; a
+    NaN position has a NaN bound, which is gauged, so the walk still ends
+    in exit 4 and writes no walk.csv."""
+    seen = []
+    real = norms._polygon_gauge
+    monkeypatch.setattr(norms, "_polygon_gauge", lambda angles, facets, coords:
+                        seen.append(np.isnan(coords).any()) or real(angles, facets, coords))
+    eye = [[float(r == c) for c in range(5)] for r in range(5)]
+    law = inline_walk(algebra=ENGEL5_JSON, n=16, reps=8, distribution={
+        "atoms": [{"p": 0.25, "xi": [s * 1e300, t * 1e300, 0, 0, 0], "kappa": 0}
+                  for s in (1, -1) for t in (1, -1)],
+        "Q": {"matrices": [eye]}})
+    (tmp_path / "c.json").write_text(json.dumps(law))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the step-3 BCH product overflows on the way
+        code = run(["walk", "--config", tmp_path / "c.json", "--out", tmp_path / "o"])
+    assert code == 4 and any(seen)
+    assert capsys.readouterr().err.splitlines() == [
+        "error: walk left the floating-point range: replicate 0 is not finite at n=4"]
+    assert not (tmp_path / "o" / "walk.csv").exists()
 
 
 def test_brackets_near_the_top_of_the_double_range(tmp_path, capsys):

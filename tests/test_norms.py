@@ -5,16 +5,16 @@ from hypothesis import given, settings, strategies as st
 from nilwalk.algebra import (NilpotentAlgebra, algebra_from_json, layer_components,
                              lower_central_filtration, weighted_filtration)
 from nilwalk.errors import NumericalValidationError
+from nilwalk import norms
 from nilwalk.norms import (DEFAULT_HULL_SAMPLES, HomogeneousNorm, _build_hull_layer, _hull_layer,
-                           _layer_gauge, _polygon_gauge, bilinearity_constant,
-                           build_gauge,
+                           _layer_gauge, _pair_sups, _polygon_gauge, build_gauge,
                            coefficient_mass_bound, default_kappas, dilate,
-                           euclidean_bilinearity_bound, gauge_descriptor,
-                           hom_norm, subadditivity_defect)
+                           euclidean_bilinearity_bound, gauge_descriptor, hom_norm, running_norm)
 from nilwalk.presets import (WALK_PRESETS, abelian_algebra, build_walk_setup, filiform_algebra,
                              free_step3_algebra, heisenberg_algebra)
 
-from oracles import polygon_gauge_oracle, qhull_polytope, rotate_basis
+from oracles import (bilinearity_constant, polygon_gauge_oracle, qhull_polytope, rotate_basis,
+                     subadditivity_defect)
 from schema_defaults import with_defaults
 from test_algebra import free_step2_json
 
@@ -100,6 +100,7 @@ def test_scaled_gauge_bilinearity_calibrated():
     norm = build_gauge(alg, filt, "scaled_euclidean", seed=5,
                        calibration_pairs=20_000, hull_samples=512)
     assert bilinearity_constant(norm, alg, n_pairs=20_000, seed=11) <= 1.0 + 1e-9
+    assert norm.bilinearity_bound <= 1.0
 
 
 def test_subadditivity_defect_small():
@@ -401,3 +402,140 @@ def test_polygon_hull_keeps_the_first_copy_of_a_duplicate():
 ], ids=["collinear", "origin-outside", "origin-on-boundary"])
 def test_degenerate_polygon_hull_is_none(pts):
     assert _hull_layer(np.array(pts)) is None
+
+
+# ---------------------------------------------------------------------------
+# the closed-form bilinearity bound
+
+def _sampled_constant(norm, alg, chunks=4):
+    """The sampled constant over 4 x 100 000 pairs, 100 000 at a time."""
+    return max(bilinearity_constant(norm, alg, n_pairs=100_000, seed=seed)
+               for seed in range(chunks))
+
+
+@pytest.mark.parametrize("preset", list(WALK_PRESETS))
+def test_bilinearity_bound_covers_a_large_sample(preset):
+    """The bound is an upper bound: no sampled pair of unit-ball points
+    brackets past it, on any preset gauge in either filtration."""
+    for mode in ("scaled_euclidean", "bracket_hull"):
+        for choice in ("auto", "standard"):
+            setup = with_defaults(build_walk_setup, preset, gauge_mode=mode,
+                                  filtration_choice=choice)
+            assert setup.norm.bilinearity_bound >= _sampled_constant(setup.norm, setup.dist.alg)
+
+
+@pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8)], ids=["e1", "off-axis"])
+def test_bilinearity_bound_covers_a_large_sample_in_a_dense_basis(v):
+    """Drifted engel5 in a random orthonormal basis: every bracket constant
+    is dense, and the weight-5 products are rounding residue."""
+    q, tensor = rotate_basis(free_step3_algebra().tensor, 0)
+    alg = NilpotentAlgebra(dim=5, step=3, tensor=tensor)
+    filt = weighted_filtration(alg, q @ np.array([*v, 0.0, 0.0, 0.0]))
+    norm = build_gauge(alg, filt, "bracket_hull", seed=0,
+                       calibration_pairs=20_000, hull_samples=512)
+    assert _sampled_constant(norm, alg) <= norm.bilinearity_bound <= 1.0
+
+
+def test_bilinearity_bound_of_the_heisenberg_hull_gauge_by_hand():
+    """The weight-2 layer is the segment [-8, 8] (kappa_2 = 8 times the unit
+    bracket of unit vectors), so the bound is (1/8)^(1/2), up to its margin."""
+    alg = heisenberg_algebra()
+    norm = build_gauge(alg, lower_central_filtration(alg), "bracket_hull", seed=0,
+                       calibration_pairs=20_000, hull_samples=512)
+    assert np.array_equal(norm.hull_facets[1], [[1.0, 8.0], [-1.0, 8.0]])
+    assert (1 / 8) ** 0.5 <= norm.bilinearity_bound == pytest.approx((1 / 8) ** 0.5, rel=1e-14)
+
+
+def test_pair_sups_against_vertex_pairs():
+    """Each sup of a bilinear form over two balls: exact on a segment or
+    polygon against a segment or a disc, and an upper bound between two
+    polygons; discs are sampled on their boundary."""
+    rng = np.random.default_rng(3)
+    poly, other = (_hull_layer(rng.normal(size=(n, 2)))[0] for n in (40, 30))
+    seg = _hull_layer(rng.normal(size=(5, 1)))[0]
+
+    def circle(n):
+        t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+    def brute(ps, m, qs):
+        return np.einsum("pa,fab,qb->fpq", ps, m, qs).max(axis=(1, 2))
+
+    m = rng.normal(size=(6, 2, 2))
+    assert np.allclose(_pair_sups(m[:, :1], (seg, 1.0), (poly, 1.0)),
+                       brute(seg, m[:, :1], poly), rtol=1e-14)
+    assert np.allclose(_pair_sups(m[:, :, :1], (poly, 1.0), (seg, 1.0)),
+                       brute(poly, m[:, :, :1], seg), rtol=1e-14)
+    disc = 3.0 * circle(20_000)
+    for got, want, rtol in [
+            (_pair_sups(m, (poly, 1.0), (None, 3.0)), brute(poly, m, disc), 1e-7),
+            (_pair_sups(m, (None, 3.0), (poly, 1.0)), brute(disc, m, poly), 1e-7),
+            (_pair_sups(m, (None, 3.0), (None, 1.0)), brute(3.0 * circle(600), m, circle(600)),
+             1e-4)]:
+        assert np.all(want <= got) and np.all(got <= want * (1 + rtol))
+    assert np.all(brute(poly, m, other) <= _pair_sups(m, (poly, 1.0), (other, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the walk's polygon skip
+
+def _engel5_polygon_points():
+    """engel5's hull gauge and points of its weight-3 polygon layer alone:
+    random at three scales, on rays within 1e-12 rad of each vertex, and
+    along each facet normal, where the bound ||x|| / min_f b_f is tight for
+    the facet nearest the origin."""
+    norm = with_defaults(build_walk_setup, "engel5-srw").norm
+    verts, facets = norm.hull_vertices[2], norm.hull_facets[2]
+    rng = np.random.default_rng(11)
+    angles = np.arctan2(verts[:, 1], verts[:, 0])[:, None] + [-1e-12, 0.0, 1e-12]
+    radii = np.linalg.norm(verts, axis=1)[:, None] * rng.lognormal(0.0, 2.0, size=angles.shape)
+    rays = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1).reshape(-1, 2)
+    normals = facets[:, :2] * facets[:, 2:] * rng.lognormal(0.0, 2.0, size=(len(facets), 1))
+    coords = np.vstack([rng.normal(size=(200, 2)) * s for s in (1e-3, 1.0, 1e3)]
+                       + [rays, normals])
+    return norm, coords @ norm.filtration.layers[2]
+
+
+def _counting_polygon_gauge(monkeypatch):
+    rows = []
+    real = norms._polygon_gauge
+    monkeypatch.setattr(norms, "_polygon_gauge",
+                        lambda angles, facets, coords: rows.append(len(coords))
+                        or real(angles, facets, coords))
+    return rows
+
+
+def test_polygon_bound_is_at_least_the_polygon_gauge(monkeypatch):
+    """With the floor at each row's own gauge, a bound below the gauge would
+    skip its row: every row is gauged, to hom_norm's bytes.  A floor 1% above
+    skips every row, which then keeps the floor as the running max."""
+    norm, x = _engel5_polygon_points()
+    want = hom_norm(norm, x)
+    rows = _counting_polygon_gauge(monkeypatch)
+    got = running_norm(norm, x[None], want, np.array([False]))[0]
+    assert rows == [len(x)] and got.tobytes() == want.tobytes()
+    rows.clear()
+    floor = want * 1.01
+    got = running_norm(norm, x[None], floor, np.array([False]))[0]
+    assert sum(rows) == 0 and np.array_equal(np.maximum(floor, got), floor)
+    # a checkpoint step is gauged whatever the floor
+    got = running_norm(norm, x[None], floor, np.array([True]))[0]
+    assert rows == [0, len(x)] and got.tobytes() == want.tobytes()
+
+
+def test_polygon_skip_gauges_rows_that_are_not_finite(monkeypatch):
+    """A NaN or inf in the polygon layer, or a length past the double range,
+    makes the bound NaN or inf, which is never below the floor: the row gets
+    hom_norm's value."""
+    norm, _ = _engel5_polygon_points()
+    cols, signs = norm.filtration.gathers[2]  # the layer's unit basis vectors
+    x = np.zeros((4, 5))
+    x[:, 0] = 1.0
+    x[:, cols] = signs * np.array([[np.nan, 1.0], [np.inf, 0.0], [np.inf, np.inf],
+                                   [1e300, -1e300]])
+    with np.errstate(invalid="ignore"):
+        want = hom_norm(norm, x)
+        rows = _counting_polygon_gauge(monkeypatch)
+        got = running_norm(norm, x[None], np.full(len(x), 1e308), np.array([False]))[0]
+    assert rows == [len(x)] and np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[0]) and 1e297 < got[3] ** 3 < 1e299

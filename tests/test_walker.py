@@ -9,7 +9,7 @@ from nilwalk.norms import build_gauge, hom_norm
 from nilwalk.presets import abelian_algebra, build_walk_setup, free_step3_algebra
 from nilwalk.rng import STREAM_SCAN, STREAM_WALK, AliasSampler, substream, substream_blocks
 from nilwalk.semidirect import StepDistribution, finite_group
-from nilwalk import groups, rng, walker
+from nilwalk import groups, norms, rng, walker
 from nilwalk.walker import WalkConfig, monte_carlo, recentre
 
 from oracles import heisenberg_rep, nilpotent_expm, nilpotent_logm, philox_key, rep_matrix
@@ -270,6 +270,54 @@ def test_step_block_size_does_not_change_results(monkeypatch, make, kw, cross_ch
         # one gauge call per step block, not per step
         assert len(calls) == sampling_blocks(300, walker.RNG_BLOCK_STEPS)
     assert_same_samples(runs)
+
+
+def weight3_heavy_engel5():
+    """A centred law on engel5 whose atoms reach far into the weight-3 layer,
+    so the polygon's term often sets |y|; same hull gauge as engel5-srw."""
+    xis = np.random.default_rng(3).normal(size=(2, 5)) * [1.0, 1.0, 1.0, 300.0, 300.0]
+    dist = StepDistribution(alg=free_step3_algebra(), q=finite_group(groups.trivial(5)),
+                            probs=np.full(4, 0.25), xis=np.vstack([xis, -xis]),
+                            kappas=np.zeros(4, dtype=np.int64))
+    return with_defaults(build_walk_setup, "custom", dist)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda c=choice: with_defaults(build_walk_setup, "engel5-srw",
+                                                filtration_choice=c), id=f"engel5-srw-{choice}")
+    for choice in ("auto", "standard")] + [
+    pytest.param(weight3_heavy_engel5, id="weight3-heavy-engel5")])
+def test_polygon_skip_keeps_every_byte(monkeypatch, make):
+    """A hull gauge gauges its weight-3 polygon only where a row could raise
+    the running max or sits at a checkpoint: at two chunk sizes the samples
+    hold the bytes of hom_norm on every row of every block."""
+    setup = make()
+    assert any(angles is not None for angles in setup.norm.hull_angles)
+    cfg = with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=100,
+                        checkpoints=(1, 5, 8, 37, 100), replications=300, seed=4)
+    runs = []
+    for chunk in (walker.REPLICATE_CHUNK, 7):
+        monkeypatch.setattr(walker, "REPLICATE_CHUNK", chunk)
+        runs.append(monte_carlo(cfg))
+    monkeypatch.setattr(walker, "running_norm", lambda norm, x, floor, exact: hom_norm(norm, x))
+    want = monte_carlo(cfg)
+    for run in runs:
+        for name in ("running_max", "y_norm", "layer_euclid", "q_index", "final_y"):
+            assert getattr(run, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_polygon_layer_is_skipped_on_most_rows(monkeypatch):
+    """Checkpoint rows are always gauged; between them the bound clears most
+    rows of engel5's walk without the 4 100-facet polygon."""
+    rows = []
+    real = norms._polygon_gauge
+    monkeypatch.setattr(norms, "_polygon_gauge", lambda angles, facets, coords:
+                        rows.append(len(coords)) or real(angles, facets, coords))
+    setup = with_defaults(build_walk_setup, "engel5-srw")
+    reps, n = 256, 64
+    monte_carlo(with_defaults(WalkConfig, dist=setup.dist, norm=setup.norm, n_steps=n,
+                              checkpoints=(32, n), replications=reps, seed=2))
+    assert 2 * reps <= sum(rows) < n * reps // 4
 
 
 @pytest.mark.parametrize("block", [128, 7, 1])
