@@ -6,9 +6,11 @@ dilations D_r (r^i on the weight-i layer).  Two constructions:
 
 scaled_euclidean
     phi_i = euclidean / lambda_i.  Layer one is plain euclidean.  Each scale
-    starts from a kappa-derived value times the smallest power of two that
-    brings a sampled bilinearity constant to <= 1 (exactly: a power of two
-    divides each sampled value exactly), as the concentration arguments need.
+    is a kappa-derived value times the smallest power of two that brings the
+    layer's bilinearity constant, sup phi_i([u, v]_i) over the unit ball of
+    the layers below, to <= 1, as the concentration arguments need.  The
+    constant is an upper bound in closed form (_layer_sup), so the rescaled
+    layer's constant is <= 1 for certain; a power of two divides it exactly.
 
 bracket_hull
     Layer one is euclidean; the weight-i unit ball is the convex hull of
@@ -33,10 +35,11 @@ constants.
 
 Every gauge records bilinearity_bound, an upper bound on sup |[u, v]| over
 its unit ball, computed in closed form from the layers as built (facets,
-vertices and scales; see bilinearity_certificate).  The calibration above
-still samples.  The walk reads only the running max of |y| between
-checkpoints, so running_norm gauges a polygon layer only on the rows where
-a Lipschitz bound says it could raise that max.
+vertices and scales; see bilinearity_certificate) by the same per-layer
+bound that calibrates the scales.  Only the hull draws random points.  The
+walk reads only the running max of |y| between checkpoints, so running_norm
+gauges a polygon layer only on the rows where a Lipschitz bound says it
+could raise that max.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .bch import TABLE_CAP, dynkin_table
 from .errors import NumericalValidationError
 from .rng import STREAM_GAUGE, substream
 
-DEFAULT_CALIBRATION_PAIRS = 100_000
 DEFAULT_HULL_SAMPLES = 2048
 
 
@@ -199,28 +201,6 @@ def dilate(filt: Filtration, r: float, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
-
-def _sample_ball(rng, norm: HomogeneousNorm, count: int, upto_weight: int,
-                 on_sphere: bool = False) -> np.ndarray:
-    """Points of the unit ball of the partial gauge using layers <= upto_weight."""
-    filt = norm.filtration
-    out = np.zeros((count, filt.layers[0].shape[1]))
-    for i in range(upto_weight):
-        basis = filt.layers[i]
-        k = basis.shape[0]
-        if k == 0:
-            continue
-        dirs = rng.standard_normal((count, k))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        radii = np.ones(count) if on_sphere else rng.random(count) ** (1.0 / k)
-        g = _layer_gauge(norm, i + 1, dirs)  # gauge of the unit direction
-        coords = dirs * (radii / np.maximum(g, 1e-300))[:, None]
-        out += coords @ basis
-    return out
-
-
-# ---------------------------------------------------------------------------
 # construction
 
 def _convex_ring(points: np.ndarray) -> list[int]:
@@ -280,7 +260,6 @@ def _hull_layer(vertices: np.ndarray):
 
 
 def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
-                calibration_pairs: int = DEFAULT_CALIBRATION_PAIRS,
                 hull_samples: int = DEFAULT_HULL_SAMPLES) -> HomogeneousNorm:
     """Construct a homogeneous gauge over the filtration's layers."""
     if mode not in ("scaled_euclidean", "bracket_hull"):
@@ -293,7 +272,7 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
                            hull_facets=[None] * depth, hull_angles=[None] * depth,
                            fallback_weights=(), bilinearity_bound=0.0)
 
-    per_layer_pairs = max(256, calibration_pairs // max(1, depth - 1))
+    t, ends = _layer_tensor(alg, filt)
     for w in range(2, depth + 1):
         i = w - 1
         basis = filt.layers[i]
@@ -309,11 +288,8 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
         # scaled euclidean path (scaled_euclidean mode, or hull fallback)
         scales = norm.layer_scales
         scales[i] = kap[i] * ce * scales[i - 1]
-        rng = substream(seed, STREAM_GAUGE, 3, w)
-        u = _sample_ball(rng, norm, per_layer_pairs, w - 1)
-        v = _sample_ball(rng, norm, per_layer_pairs, w - 1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            worst = float(np.max(_layer_gauge(norm, w, alg.bracket(u, v) @ basis.T)))
+            worst = _layer_sup(norm, t, ends, i)
             if worst > 1.0:  # the smallest k with worst / 2^k <= 1
                 mant, exp = np.frexp(worst)
                 scales[i] = float(np.ldexp(scales[i], exp - (mant == 0.5)))
@@ -321,7 +297,7 @@ def build_gauge(alg: NilpotentAlgebra, filt: Filtration, mode: str, seed: int,
             raise NumericalValidationError(f"gauge calibration is not finite at weight {w}: "
                                            f"constant {worst:.3e}, scale {scales[i]:.3e}")
 
-    norm.bilinearity_bound = bilinearity_certificate(norm, alg)
+    norm.bilinearity_bound = bilinearity_certificate(norm, t, ends)
     return norm
 
 
@@ -345,40 +321,50 @@ def _pair_sups(m: np.ndarray, ball_j, ball_k) -> np.ndarray:
     return rj * rk * np.linalg.norm(m, 2, axis=(1, 2))
 
 
-def bilinearity_certificate(norm: HomogeneousNorm, alg: NilpotentAlgebra) -> float:
-    """An upper bound on sup |[u, v]| over the gauge's unit ball, in closed form.
+def _layer_tensor(alg: NilpotentAlgebra, filt: Filtration):
+    """(t, ends): the bracket tensor in the filtration's layer coordinates, and
+    the offsets that delimit each layer's block of them."""
+    layers = filt.layers
+    basis = np.vstack(layers)
+    t = np.einsum("pqr,cr->pqc", alg.tensor, basis)
+    t = np.einsum("pbc,ap->abc", np.einsum("pqc,bq->pbc", t, basis), basis)
+    return t, np.cumsum([0] + [b.shape[0] for b in layers])
 
-    The unit ball is the product of the layer balls B_j, and the weight-i
-    part of [u, v] is sum_{j+k<=i} T_jk(u_j, v_k), T_jk the bracket of
-    layers j and k in layer i's coordinates ([m_j, m_k] lies in F^(j+k),
-    orthogonal to layer i when j + k > i).  A segment or polygon target has
-    phi_i(z) = max_f w_f.z, w_f = a_f / b_f, so phi_i([u, v]_i) <= max_f
+
+def _layer_sup(norm: HomogeneousNorm, t: np.ndarray, ends: np.ndarray, i: int) -> float:
+    """An upper bound on sup phi_i([u, v]_i) over u, v in the unit ball of the
+    layers below layer i (0-based), in closed form.
+
+    The ball is the product of the layer balls B_j, and the part of [u, v]
+    in layer i is sum_{j+k<=i} T_jk(u_j, v_k), T_jk the bracket of layers j
+    and k in layer i's coordinates ([m_j, m_k] lies in F^(j+k), orthogonal
+    to layer i when j + k > i).  A segment or polygon target has
+    phi_i(z) = max_f w_f.z, w_f = a_f / b_f, so the sup is at most max_f
     sum_{j,k} sup over B_j x B_k of w_f.T_jk; a euclidean target takes the
     same sums per coordinate, and their root sum of squares over lambda_i.
-    The bound is the largest weight's value to the 1/i, raised by 16 ulp
-    for the rounding of the sums.
     """
-    layers = norm.filtration.layers
-    basis = np.vstack(layers)
-    t = np.einsum("pqr,cr->pqc", alg.tensor, basis)  # the tensor in layer coordinates
-    t = np.einsum("pbc,ap->abc", np.einsum("pqc,bq->pbc", t, basis), basis)
-    ends = np.cumsum([0] + [b.shape[0] for b in layers])
     balls = [(None, norm.layer_scales[j]) if facets is None else (norm.hull_vertices[j], 1.0)
-             for j, facets in enumerate(norm.hull_facets)]
+             for j, facets in enumerate(norm.hull_facets[:i])]
+    facets = norm.hull_facets[i]
+    w = np.eye(ends[i + 1] - ends[i]) if facets is None else facets[:, :-1] / facets[:, -1:]
+    sums = np.zeros(len(w))
+    for j in range(i):
+        for k in range(i - j):  # weights (j + 1) + (k + 1) <= i + 1
+            tjk = t[ends[j]:ends[j + 1], ends[k]:ends[k + 1], ends[i]:ends[i + 1]]
+            if np.any(tjk):
+                sums += _pair_sups(np.einsum("abc,fc->fab", tjk, w), balls[j], balls[k])
+    top = np.max(sums) if facets is not None else np.linalg.norm(sums) / norm.layer_scales[i]
+    return float(top)
+
+
+def bilinearity_certificate(norm: HomogeneousNorm, t: np.ndarray, ends: np.ndarray) -> float:
+    """An upper bound on sup |[u, v]| over the gauge's unit ball, in closed
+    form: the largest weight w's _layer_sup to the 1/w, raised by 16 ulp for
+    the rounding of the sums."""
     bound = 0.0
-    for i in range(len(layers)):
-        if ends[i] == ends[i + 1]:
-            continue
-        facets = norm.hull_facets[i]
-        w = np.eye(ends[i + 1] - ends[i]) if facets is None else facets[:, :-1] / facets[:, -1:]
-        sums = np.zeros(len(w))
-        for j in range(i):
-            for k in range(i - j):  # weights (j + 1) + (k + 1) <= i + 1
-                tjk = t[ends[j]:ends[j + 1], ends[k]:ends[k + 1], ends[i]:ends[i + 1]]
-                if np.any(tjk):
-                    sums += _pair_sups(np.einsum("abc,fc->fab", tjk, w), balls[j], balls[k])
-        top = np.max(sums) if facets is not None else np.linalg.norm(sums) / norm.layer_scales[i]
-        bound = max(bound, float(top) ** (1.0 / (i + 1)))
+    for i in range(len(ends) - 1):
+        if ends[i] < ends[i + 1]:
+            bound = max(bound, _layer_sup(norm, t, ends, i) ** (1.0 / (i + 1)))
     return bound * (1.0 + 16 * float(np.finfo(float).eps))
 
 
@@ -392,7 +378,13 @@ def _build_hull_layer(alg: NilpotentAlgebra, norm: HomogeneousNorm, weight: int,
     if b1.shape[0] == 0 or bprev.shape[0] == 0:
         return None
     rng = substream(seed, STREAM_GAUGE, 4, weight)
-    u = _sample_ball(rng, norm, hull_samples, 1, on_sphere=True)
+    dirs = rng.standard_normal((hull_samples, b1.shape[0]))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    g = _layer_gauge(norm, 1, dirs)
+    # dirs * (1 / g) rounds unlike dirs / g, and adding into +0.0 folds
+    # signed zeros: the hull's vertex bytes rest on both
+    u = np.zeros((hull_samples, b1.shape[1]))
+    u += (dirs * (1.0 / np.maximum(g, 1e-300))[:, None]) @ b1
     dirs = rng.standard_normal((hull_samples, bprev.shape[0]))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     g = _layer_gauge(norm, weight - 1, dirs)

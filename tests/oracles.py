@@ -4,8 +4,9 @@ Everything here deliberately avoids the implementation under test:
 group products go through faithful matrix representations, series are
 summed directly, filtrations are rebuilt by brute-force span closure,
 and moment constants come from closed-form Gamma expressions.  The one
-exception is the pair of sampled gauge constants: they draw pairs through
-the gauge's own ball sampler and measure them with hom_norm, the lower
+exception is the pair of sampled gauge constants, which measure with the
+gauge's own hom_norm; the bilinearity one draws its unit-ball pairs with
+sample_ball here, through the gauge's layer gauges.  They are the lower
 estimates that the closed-form bilinearity bound is held against.
 """
 
@@ -341,17 +342,35 @@ def qhull_polytope(points):
     return points[np.sort(hull.vertices)], hull.equations[:, :-1], -hull.equations[:, -1]
 
 
+def sample_ball(rng, norm, count):
+    """count points of the gauge's unit ball: in each layer a uniform
+    direction, pushed to the layer gauge's unit sphere, times a radius with
+    the law of a uniform point's in the euclidean ball of that dimension."""
+    from nilwalk.norms import _layer_gauge
+    filt = norm.filtration
+    out = np.zeros((count, filt.layers[0].shape[1]))
+    for i, basis in enumerate(filt.layers):
+        k = basis.shape[0]
+        if k == 0:
+            continue
+        dirs = rng.standard_normal((count, k))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        radii = rng.random(count) ** (1.0 / k)
+        g = _layer_gauge(norm, i + 1, dirs)  # gauge of the unit direction
+        out += (dirs * (radii / np.maximum(g, 1e-300))[:, None]) @ basis
+    return out
+
+
 def bilinearity_constant(norm, alg, n_pairs, seed):
     """Sampled sup of phi([u, v]) over unit-ball pairs.
 
     A lower estimate of the true constant: sampling can only miss the sup.
     """
-    from nilwalk.norms import _sample_ball, hom_norm
+    from nilwalk.norms import hom_norm
     from nilwalk.rng import STREAM_GAUGE, substream
     rng = substream(seed, STREAM_GAUGE, 1)
-    depth = norm.filtration.depth
-    u = _sample_ball(rng, norm, n_pairs, depth)
-    v = _sample_ball(rng, norm, n_pairs, depth)
+    u = sample_ball(rng, norm, n_pairs)
+    v = sample_ball(rng, norm, n_pairs)
     vals = hom_norm(norm, alg.bracket(u, v))
     return float(np.max(vals)) if n_pairs else 0.0
 

@@ -32,7 +32,7 @@ import nilwalk
 
 SRC = Path(nilwalk.__file__).parent
 KEEP = {"dilate", "delta", "big_delta", "thread_cap"}
-SETTABLE_CEILING = 6
+SETTABLE_CEILING = 4
 RUNTIME_DEPENDENCIES = {"numpy"}
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nilwalk.algebra import (NilpotentAlgebra, algebra_from_json, layer_components,
                              lower_central_filtration, weighted_filtration)
 from nilwalk.errors import NumericalValidationError
+from nilwalk.manifest import gauge_hash
 from nilwalk import norms
 from nilwalk.norms import (DEFAULT_HULL_SAMPLES, HomogeneousNorm, _build_hull_layer, _hull_layer,
                            _layer_gauge, _pair_sups, _polygon_gauge, build_gauge,
@@ -27,8 +28,7 @@ FREE_STEP4_JSON = {"dim": 8, "step": 4, "brackets": [
 
 def _gauges(alg, seed=0):
     filt = lower_central_filtration(alg)
-    return [build_gauge(alg, filt, mode, seed=seed,
-                        calibration_pairs=20_000, hull_samples=512)
+    return [build_gauge(alg, filt, mode, seed=seed, hull_samples=512)
             for mode in ("scaled_euclidean", "bracket_hull")]
 
 
@@ -87,8 +87,7 @@ def test_batched_norm_matches_scalar():
                          ids=["heisenberg", "filiform4"])
 def test_bilinearity_at_most_one(alg):
     filt = lower_central_filtration(alg)
-    norm = build_gauge(alg, filt, "bracket_hull", seed=5,
-                       calibration_pairs=20_000, hull_samples=512)
+    norm = build_gauge(alg, filt, "bracket_hull", seed=5, hull_samples=512)
     c = bilinearity_constant(norm, alg, n_pairs=20_000, seed=7)
     assert c <= 1.0 + 1e-9
     assert norm.bilinearity_bound <= 1.0 + 1e-9
@@ -97,8 +96,7 @@ def test_bilinearity_at_most_one(alg):
 def test_scaled_gauge_bilinearity_calibrated():
     alg = free_step3_algebra()
     filt = lower_central_filtration(alg)
-    norm = build_gauge(alg, filt, "scaled_euclidean", seed=5,
-                       calibration_pairs=20_000, hull_samples=512)
+    norm = build_gauge(alg, filt, "scaled_euclidean", seed=5, hull_samples=512)
     assert bilinearity_constant(norm, alg, n_pairs=20_000, seed=11) <= 1.0 + 1e-9
     assert norm.bilinearity_bound <= 1.0
 
@@ -106,8 +104,7 @@ def test_scaled_gauge_bilinearity_calibrated():
 def test_subadditivity_defect_small():
     alg = heisenberg_algebra()
     filt = lower_central_filtration(alg)
-    norm = build_gauge(alg, filt, "bracket_hull", seed=5,
-                       calibration_pairs=20_000, hull_samples=512)
+    norm = build_gauge(alg, filt, "bracket_hull", seed=5, hull_samples=512)
     defect, pair = subadditivity_defect(norm, alg, n_pairs=20_000, seed=13)
     assert defect <= 1e-9, pair
 
@@ -129,15 +126,13 @@ def test_facetless_layer_gauge_bit_equal_to_linalg_norm(dim):
 def _rotated_engel5_gauge(mode):
     """Dense filtration bases: layer components go through the einsum."""
     alg = NilpotentAlgebra(dim=5, step=3, tensor=rotate_basis(free_step3_algebra().tensor, 0)[1])
-    return build_gauge(alg, lower_central_filtration(alg), mode, seed=0,
-                       calibration_pairs=20_000, hull_samples=512)
+    return build_gauge(alg, lower_central_filtration(alg), mode, seed=0, hull_samples=512)
 
 
 def _abelian9_gauge(mode):
     """One facet-less 9-dimensional layer: np.linalg.norm's pairwise sum."""
     alg = abelian_algebra(9)
-    return build_gauge(alg, lower_central_filtration(alg), mode, seed=0,
-                       calibration_pairs=20_000, hull_samples=512)
+    return build_gauge(alg, lower_central_filtration(alg), mode, seed=0, hull_samples=512)
 
 
 ROW_GAUGES = [
@@ -173,28 +168,30 @@ def test_hom_norm_rows_round_alone_across_leading_axes(make):
 def test_abelian_single_layer_is_euclidean_scale():
     alg = abelian_algebra(2)
     filt = lower_central_filtration(alg)
-    norm = build_gauge(alg, filt, "scaled_euclidean", seed=0,
-                       calibration_pairs=1000, hull_samples=64)
+    norm = build_gauge(alg, filt, "scaled_euclidean", seed=0, hull_samples=64)
     x = np.array([3.0, 4.0])
     assert hom_norm(norm, x) == pytest.approx(5.0 / norm.layer_scales[0])
 
 
-@pytest.mark.parametrize("alg, filtration, fallback", [
+FALLBACK_CASES = [
     (heisenberg_algebra(), lambda alg: weighted_filtration(alg, np.array([1.0, 0.0, 0.0])),
      (3,)),
     (algebra_from_json(free_step2_json(3)), lower_central_filtration, (2,)),
     (algebra_from_json(free_step2_json(4)), lower_central_filtration, (2,)),
     (algebra_from_json(FREE_STEP4_JSON), lower_central_filtration, (4,)),
-], ids=["heisenberg-e1", "free2-3gen", "free2-4gen", "free4-2gen"])
+]
+
+
+@pytest.mark.parametrize("alg, filtration, fallback", FALLBACK_CASES,
+                         ids=["heisenberg-e1", "free2-3gen", "free2-4gen", "free4-2gen"])
 def test_hull_fallback_flagged_on_empty_middle_layer(alg, filtration, fallback):
     """Adapted Heisenberg filtration has an empty weight-2 layer, so weight 3
     has no hull; the free 2-step algebras' weight-2 layers have dimension 3
     and 6, beyond the segments and polygons the hull builds.  The free 4-step
     algebra's 3-D weight-4 layer falls back on top of hull layers, so its
-    sampled constant starts above 1 and the scale takes a power of two."""
+    closed-form constant starts above 1 and the scale takes a power of two."""
     filt = filtration(alg)
-    norm = build_gauge(alg, filt, "bracket_hull", seed=0,
-                       calibration_pairs=5000, hull_samples=256)
+    norm = build_gauge(alg, filt, "bracket_hull", seed=0, hull_samples=256)
     assert norm.fallback_weights == fallback
     assert norm.hull_facets[fallback[0] - 1] is None
     # still a usable homogeneous gauge
@@ -212,19 +209,61 @@ def test_calibration_refuses_a_constant_or_scale_that_is_not_finite(coefficient)
     alg = algebra_from_json({"dim": 3, "step": 2, "brackets": [[1, 2, [[3, coefficient]]]]})
     with pytest.raises(NumericalValidationError, match="not finite at weight 2: constant"):
         build_gauge(alg, lower_central_filtration(alg), "scaled_euclidean", seed=0,
-                    calibration_pairs=1000, hull_samples=64)
+                    hull_samples=64)
 
 
 def test_calibration_refuses_a_nan_constant_with_a_finite_scale(monkeypatch):
-    """A NaN sampled constant is refused, not read as "no rescale": the test
-    is on the constant itself, since max(0.0, nan) is 0.0."""
-    monkeypatch.setattr(NilpotentAlgebra, "bracket",
-                        lambda self, x, y: np.full(np.shape(x), np.nan))
+    """A NaN constant is refused, not read as "no rescale": the test is on
+    the constant itself, since max(0.0, nan) is 0.0."""
+    monkeypatch.setattr(norms, "_pair_sups", lambda m, ball_j, ball_k: np.full(len(m), np.nan))
     alg = heisenberg_algebra()
     with pytest.raises(NumericalValidationError,
                        match="weight 2: constant nan, scale 1.131e\\+01"):
         build_gauge(alg, lower_central_filtration(alg), "scaled_euclidean", seed=0,
-                    calibration_pairs=1000, hull_samples=64)
+                    hull_samples=64)
+
+
+def _preset_gauges(mode, seed=0):
+    """(algebra, gauge) of every walk preset in both filtrations."""
+    for preset in WALK_PRESETS:
+        for choice in ("auto", "standard"):
+            setup = with_defaults(build_walk_setup, preset, gauge_mode=mode,
+                                  filtration_choice=choice, seed=seed)
+            yield setup.dist.alg, setup.norm
+
+
+def test_scaled_gauge_calibration_draws_nothing(monkeypatch):
+    """The calibration is in closed form: a scaled gauge opens no random
+    stream, and its bytes do not depend on the seed."""
+    calls = []
+    real = norms.substream
+    monkeypatch.setattr(norms, "substream", lambda *key: calls.append(key) or real(*key))
+    hashes = [[gauge_hash(norm) for _, norm in _preset_gauges("scaled_euclidean", seed)]
+              for seed in (0, 1, 2)]
+    assert calls == []
+    assert hashes[0] == hashes[1] == hashes[2]
+
+
+def test_calibrated_layers_have_a_closed_form_constant_at_most_one():
+    """Every scaled layer's closed-form constant is <= 1, and above 1/2 where
+    the calibration rescaled it: the power of two is the smallest that works."""
+    gauges = [*_preset_gauges("scaled_euclidean"), *_preset_gauges("bracket_hull")]
+    gauges += [(alg, build_gauge(alg, filtration(alg), mode, seed=0, hull_samples=256))
+               for alg, filtration, _ in FALLBACK_CASES
+               for mode in ("scaled_euclidean", "bracket_hull")]
+    rescaled = 0
+    for alg, norm in gauges:
+        t, ends = norms._layer_tensor(alg, norm.filtration)
+        ce = max(1.0, euclidean_bilinearity_bound(alg))
+        for i in range(1, norm.filtration.depth):
+            if norm.hull_facets[i] is not None or ends[i] == ends[i + 1]:
+                continue
+            sup = norms._layer_sup(norm, t, ends, i)
+            assert sup <= 1.0
+            if norm.layer_scales[i] != norm.kappa[i] * ce * norm.layer_scales[i - 1]:
+                rescaled += 1
+                assert 0.5 < sup
+    assert rescaled > 0
 
 
 @pytest.mark.parametrize("v", [(1.0, 0.0), (0.6, 0.8)], ids=["e1", "off-axis"])
@@ -236,11 +275,11 @@ def test_hull_falls_back_where_brackets_are_rounding_residue(v):
     base = free_step3_algebra()
     v = np.array([*v, 0.0, 0.0, 0.0])
     axis = build_gauge(base, weighted_filtration(base, v), "bracket_hull", seed=0,
-                       calibration_pairs=20_000, hull_samples=512)
+                       hull_samples=512)
     q, tensor = rotate_basis(base.tensor, 0)
     filt = weighted_filtration(NilpotentAlgebra(dim=5, step=3, tensor=tensor), q @ v)
     norms = [build_gauge(NilpotentAlgebra(dim=5, step=3, tensor=tensor * scale), filt,
-                         "bracket_hull", seed=0, calibration_pairs=20_000, hull_samples=512)
+                         "bracket_hull", seed=0, hull_samples=512)
              for scale in (1.0, 1.0 + 1e-13)]
     assert axis.fallback_weights == (3, 5)  # weight 2 is empty, weight 5 unreachable
     for norm in norms:
@@ -252,15 +291,12 @@ def test_hull_falls_back_where_brackets_are_rounding_residue(v):
 def test_gauge_descriptor_is_stable_and_complete():
     alg = heisenberg_algebra()
     filt = lower_central_filtration(alg)
-    a = build_gauge(alg, filt, "bracket_hull", seed=9,
-                    calibration_pairs=5000, hull_samples=256)
-    b = build_gauge(alg, filt, "bracket_hull", seed=9,
-                    calibration_pairs=5000, hull_samples=256)
+    a = build_gauge(alg, filt, "bracket_hull", seed=9, hull_samples=256)
+    b = build_gauge(alg, filt, "bracket_hull", seed=9, hull_samples=256)
     da, db = gauge_descriptor(a), gauge_descriptor(b)
     assert da == db
     assert da["mode"] == "bracket_hull"
-    c = build_gauge(alg, filt, "bracket_hull", seed=10,
-                    calibration_pairs=5000, hull_samples=256)
+    c = build_gauge(alg, filt, "bracket_hull", seed=10, hull_samples=256)
     # a different seed may move sampled hull vertices; the descriptor
     # must reflect whatever the gauge actually evaluates with
     if gauge_descriptor(c) != da:
@@ -302,8 +338,7 @@ def test_polygon_gauge_matches_oracle_on_engel5():
     by angular lookup; it must agree with a max over every facet."""
     alg = free_step3_algebra()
     filt = lower_central_filtration(alg)
-    norm = build_gauge(alg, filt, "bracket_hull", seed=0,
-                       calibration_pairs=20_000, hull_samples=512)
+    norm = build_gauge(alg, filt, "bracket_hull", seed=0, hull_samples=512)
     basis, facets, verts = filt.layers[2], norm.hull_facets[2], norm.hull_vertices[2]
     assert basis.shape[0] == 2 and facets.shape[0] > 100
     rng = np.random.default_rng(21)
@@ -431,8 +466,7 @@ def test_bilinearity_bound_covers_a_large_sample_in_a_dense_basis(v):
     q, tensor = rotate_basis(free_step3_algebra().tensor, 0)
     alg = NilpotentAlgebra(dim=5, step=3, tensor=tensor)
     filt = weighted_filtration(alg, q @ np.array([*v, 0.0, 0.0, 0.0]))
-    norm = build_gauge(alg, filt, "bracket_hull", seed=0,
-                       calibration_pairs=20_000, hull_samples=512)
+    norm = build_gauge(alg, filt, "bracket_hull", seed=0, hull_samples=512)
     assert _sampled_constant(norm, alg) <= norm.bilinearity_bound <= 1.0
 
 
@@ -441,7 +475,7 @@ def test_bilinearity_bound_of_the_heisenberg_hull_gauge_by_hand():
     bracket of unit vectors), so the bound is (1/8)^(1/2), up to its margin."""
     alg = heisenberg_algebra()
     norm = build_gauge(alg, lower_central_filtration(alg), "bracket_hull", seed=0,
-                       calibration_pairs=20_000, hull_samples=512)
+                       hull_samples=512)
     assert np.array_equal(norm.hull_facets[1], [[1.0, 8.0], [-1.0, 8.0]])
     assert (1 / 8) ** 0.5 <= norm.bilinearity_bound == pytest.approx((1 / 8) ** 0.5, rel=1e-14)
 
