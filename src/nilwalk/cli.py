@@ -350,15 +350,16 @@ def cmd_split_scan(cfg: dict, out_dir: str) -> list[str]:
                  f"({scan.skipped} near-sections skipped)", documents)
 
 
-def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
-    """concentration fits over a walk CSV"""
-    path = cfg["csv"]
+def _fit_inputs(path: str, col: str, with_lil: bool):
+    """(samples, lil) from a walk CSV: col's values by checkpoint n and, when
+    with_lil, (dyadic n, y_norm per replicate at each), else None.  Both are gathered
+    into new arrays, so the parsed table and the scratch of the gathering are
+    freed on return."""
     try:
         data, names = read_csv_columns(path)
     except ValueError as exc:
         raise SchemaError(f"malformed walk CSV: {exc}") from exc
-    col = cfg["column"]
-    need = [col, "n"] + (["y_norm", "replicate"] if cfg.get("lil_alpha") is not None else [])
+    need = [col, "n"] + (["y_norm", "replicate"] if with_lil else [])
     missing = [name for name in need if name not in names]
     if missing:
         raise SchemaError(f"columns {missing} not in {path} (has {names})")
@@ -368,26 +369,37 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
         raise SchemaError(f"{path}: n must be a positive integer at most 2^53")
     ns = distinct(steps).astype(int)
     samples = {int(nv): data[steps == nv, ci] for nv in ns}
-    if cfg.get("lil_alpha") is not None:
-        # y_norm per replicate at each dyadic n >= 4, checked before any output
-        yi, ri = names.index("y_norm"), names.index("replicate")
-        dyadic = np.array([nv for nv in ns if nv >= 4 and (nv & (nv - 1)) == 0])
-        if dyadic.size == 0:
-            raise SchemaError(f"{path}: --lil-alpha needs a checkpoint n >= 4 "
-                              "that is a power of two")
-        reps = distinct(data[:, ri])
-        mat = np.empty((reps.size, dyadic.size))
-        for j, nv in enumerate(dyadic):
-            rows = data[steps == nv]
-            order = np.argsort(rows[:, ri])
-            if not np.array_equal(rows[order, ri], reps):
-                raise SchemaError(f"{path}: n={int(nv)} does not have one row per replicate")
-            mat[:, j] = rows[order, yi]
+    if not with_lil:
+        return samples, None
+    # y_norm per replicate at each dyadic n >= 4, checked before any output
+    yi, ri = names.index("y_norm"), names.index("replicate")
+    dyadic = np.array([nv for nv in ns if nv >= 4 and (nv & (nv - 1)) == 0])
+    if dyadic.size == 0:
+        raise SchemaError(f"{path}: --lil-alpha needs a checkpoint n >= 4 "
+                          "that is a power of two")
+    reps = distinct(data[:, ri])
+    mat = np.empty((reps.size, dyadic.size))
+    for j, nv in enumerate(dyadic):
+        at = steps == nv
+        rep_col = data[at, ri]
+        order = np.argsort(rep_col)
+        if not np.array_equal(rep_col[order], reps):
+            raise SchemaError(f"{path}: n={int(nv)} does not have one row per replicate")
+        mat[:, j] = data[at, yi][order]
+    return samples, (dyadic, mat)
+
+
+def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
+    """concentration fits over a walk CSV"""
+    path, col = cfg["csv"], cfg["column"]
+    # the parsed table is gone before the bootstrap: only its gathered
+    # columns reach fit_alpha
+    samples, lil = _fit_inputs(path, col, cfg.get("lil_alpha") is not None)
     fit = fit_alpha(samples, seed=cfg["seed"], n_bootstrap=cfg["bootstrap"])
     report = {"column": col,
               "groups": {str(int(nv)): int(v.size) for nv, v in samples.items()}, **fit}
 
-    final = samples[int(ns[-1])]
+    final = samples[max(samples)]
     pos = np.abs(final[np.abs(final) > 0])
     if pos.size:
         t_grid = np.geomspace(quantiles(pos, 0.5), pos.max() * 1.05, 33)
@@ -395,10 +407,10 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
         t_grid = np.linspace(0.0, 1.0, 5)
     p_hat, lo, hi = tail_curve(final, t_grid)
     write_csv(os.path.join(out_dir, "fit-tail.csv"), "tail", {}, ["t", "p", "lo", "hi"],
-              np.column_stack([t_grid, p_hat, lo, hi]))
+              [np.column_stack([t_grid, p_hat, lo, hi])])
 
-    if cfg.get("lil_alpha") is not None:
-        report["lil"] = lil_diagnostic(dyadic, mat, alpha=cfg["lil_alpha"])
+    if lil is not None:
+        report["lil"] = lil_diagnostic(*lil, alpha=cfg["lil_alpha"])
 
     documents = {"fit-report.json": report}
     if cfg["svg"]:

@@ -5,6 +5,10 @@ and the seed: floats are emitted at 17 significant digits, JSON keys are
 sorted, and nothing records wall-clock time or host identity.  The
 manifest carries a sha256 per emitted file so a rerun can be checked
 byte for byte.
+
+Memory stays at one slice of output: walk.csv is formatted a block of
+whole replicates at a time, read straight from the sample matrix, and
+files are hashed through one reused buffer.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ FLOAT_FMT = "%.17g"
 # rows write_csv formats per %; one % for a whole wide walk would hold its
 # every float in one tuple, tens of MiB
 CSV_SLICE_ROWS = 1024
+# bytes sha256_file reads into its one buffer per call
+HASH_BLOCK = 1 << 16
 
 
 def jsonify(obj):
@@ -57,9 +63,11 @@ def gauge_hash(norm: HomogeneousNorm) -> str:
 
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buf = bytearray(HASH_BLOCK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            h.update(view[:size])
     return h.hexdigest()
 
 
@@ -71,36 +79,29 @@ def _vector(v) -> str:
     return " ".join(_fmt(x) for x in np.asarray(v, dtype=float).ravel())
 
 
-def write_csv(path: str, kind: str, meta: dict, columns, rows) -> None:
+def write_csv(path: str, kind: str, meta: dict, columns, blocks) -> None:
     """A nilwalk CSV: '# nilwalk-<kind>-csv 1', one '# key: value' line per
-    meta entry, '# columns: ...', then the rows at FLOAT_FMT: np.savetxt's
-    bytes, formatted CSV_SLICE_ROWS rows at a time."""
+    meta entry, '# columns: ...', then the rows of each 2-D block in blocks,
+    one column per name, at FLOAT_FMT.  The bytes are np.savetxt's for the
+    blocks stacked (fmt=FLOAT_FMT, delimiter=","); each block is formatted
+    CSV_SLICE_ROWS rows at a time, so blocks may come from a generator."""
     header = [f"nilwalk-{kind}-csv 1", *(f"{k}: {v}" for k, v in meta.items()),
               "columns: " + " ".join(columns)]
-    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    line = ",".join([FLOAT_FMT] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + "\n".join(header).replace("\n", "\n# ") + "\n")
-        for lo in range(0, len(rows), CSV_SLICE_ROWS):
-            part = rows[lo:lo + CSV_SLICE_ROWS]
-            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+        for rows in blocks:
+            for lo in range(0, len(rows), CSV_SLICE_ROWS):
+                part = rows[lo:lo + CSV_SLICE_ROWS]
+                fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
 def write_walk_csv(path: str, result: SampleMatrix, preset: str, seed: int,
                    derived: dict) -> None:
     """One row per replicate and checkpoint; M_scaled is M / n^scaling_exponent.
     The header formats derived, the constants the walk's manifest records."""
-    r, k = result.running_max.shape
     nl = result.layer_euclid.shape[2]
-    ns = np.asarray(result.checkpoints, dtype=float)
     exponent, kappa = derived["scaling_exponent"], derived["kappa_mu"]
-    rows = np.empty((r * k, 6 + nl))
-    rows[:, 0] = np.repeat(np.arange(r, dtype=float), k)
-    rows[:, 1] = np.tile(ns, r)
-    rows[:, 2] = result.running_max.ravel()
-    rows[:, 3] = (result.running_max / ns[None, :] ** exponent).ravel()
-    rows[:, 4] = result.y_norm.ravel()
-    rows[:, 5] = result.q_index.ravel()
-    rows[:, 6:] = result.layer_euclid.reshape(r * k, nl)
     meta = {
         "preset": preset,
         "seed": seed,
@@ -114,13 +115,35 @@ def write_walk_csv(path: str, result: SampleMatrix, preset: str, seed: int,
     }
     columns = ["replicate", "n", "M", "M_scaled", "y_norm", "q_index"] + \
         [f"layer_{i+1}" for i in range(nl)]
-    write_csv(path, "walk", meta, columns, rows)
+    write_csv(path, "walk", meta, columns, _walk_blocks(result, exponent))
+
+
+def _walk_blocks(result: SampleMatrix, exponent: float):
+    """walk.csv's rows, a block of whole replicates (about CSV_SLICE_ROWS
+    rows) at a time."""
+    r, k = result.running_max.shape
+    nl = result.layer_euclid.shape[2]
+    ns = np.asarray(result.checkpoints, dtype=float)
+    scale = ns ** exponent
+    step = max(1, CSV_SLICE_ROWS // k)
+    for lo in range(0, r, step):
+        hi = min(r, lo + step)
+        m = result.running_max[lo:hi]
+        rows = np.empty(((hi - lo) * k, 6 + nl))
+        rows[:, 0] = np.repeat(np.arange(lo, hi, dtype=float), k)
+        rows[:, 1] = np.tile(ns, hi - lo)
+        rows[:, 2] = m.ravel()
+        rows[:, 3] = (m / scale).ravel()
+        rows[:, 4] = result.y_norm[lo:hi].ravel()
+        rows[:, 5] = result.q_index[lo:hi].ravel()
+        rows[:, 6:] = result.layer_euclid[lo:hi].reshape((hi - lo) * k, nl)
+        yield rows
 
 
 def write_scan_csv(path: str, scan: ScanResult, preset: str, seed: int,
                    group_order: int) -> None:
     write_csv(path, "scan", {"preset": preset, "seed": seed, "group_order": group_order},
-              ["replicate", "delta_raw", "Delta", "ratio"], scan.rows)
+              ["replicate", "delta_raw", "Delta", "ratio"], [scan.rows])
 
 
 def write_manifest(path: str, doc: dict) -> None:

@@ -31,7 +31,8 @@ layer) and layers of dimension >= 3 fall back to scaled euclidean and are
 flagged.  A hull of N points in dimension k can have on the order of
 N^(k // 2) facets (McMullen's upper bound theorem), and any two homogeneous
 gauges agree up to constants, so the fallback moves the bounds only by
-constants.
+constants.  A hull whose vertices leave the double range is refused, as
+a calibration that is not finite is.
 
 Every gauge records bilinearity_bound, an upper bound on sup |[u, v]| over
 its unit ball, computed in closed form from the layers as built (facets,
@@ -405,7 +406,13 @@ def _build_hull_layer(alg: NilpotentAlgebra, norm: HomogeneousNorm, weight: int,
     prods = prods[scaled_norm(prods, axis=1) > RANK_RTOL * scale]
     if prods.shape[0] == 0:
         return None
-    return kappa_w * np.vstack([prods, -prods])
+    with np.errstate(over="ignore"):  # refused below instead
+        verts = kappa_w * np.vstack([prods, -prods])
+    if not np.isfinite(verts).all():
+        raise NumericalValidationError(
+            f"gauge hull is not finite at weight {weight}: bracket products up to "
+            f"{np.max(np.abs(prods)):.3e} times kappa {kappa_w:.3e}")
+    return verts
 
 
 # ---------------------------------------------------------------------------

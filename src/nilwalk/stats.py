@@ -36,15 +36,17 @@ SVG_FRAME = (640, 420, 56)
 def tail_curve(samples: np.ndarray, thresholds: np.ndarray):
     """(p_hat, lower, upper) exceedance estimates with 95% Clopper-Pearson bands.
 
-    With k of the n samples at or above a threshold, the lower bound solves
+    With k of the n (finite) samples at or above a threshold, counted by
+    bisecting the sorted samples, the lower bound solves
     P(Bin(n, x) >= k) = 0.025 and the upper bound P(Bin(n, x) <= k) = 0.025
     (Clopper & Pearson, Biometrika 26, 1934); they are 0 at k = 0 and 1 at
     k = n.  binomial.cp_bound inverts both in numpy.
     """
     x = np.abs(np.asarray(samples, dtype=float))
+    x.sort()
     t = np.asarray(thresholds, dtype=float)
     n = x.size
-    k = (x[None, :] >= t[:, None]).sum(axis=1)
+    k = n - np.searchsorted(x, t, side="left")  # samples at or above each t
     p_hat = k / n
     lo, hi = np.zeros(k.shape), np.ones(k.shape)
     k_lo, k_hi = k[k > 0], k[k < n]

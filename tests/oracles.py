@@ -8,6 +8,8 @@ exception is the pair of sampled gauge constants, which measure with the
 gauge's own hom_norm; the bilinearity one draws its unit-ball pairs with
 sample_ball here, through the gauge's layer gauges.  They are the lower
 estimates that the closed-form bilinearity bound is held against.
+walk.csv is rebuilt from one whole (R*K, 6+L) table through np.savetxt,
+the byte contract of the streamed writer.
 """
 
 import math
@@ -448,3 +450,46 @@ def binomial_tail_root(n, k, upper, start):
             if abs(step) <= mpmath.mpf(10) ** -32 * x:
                 return x
     raise ArithmeticError(f"no root for n={n} k={k}")
+
+
+# ---------------------------------------------------------------------------
+# walk.csv from one whole table
+
+def walk_csv_full_table(path, result, preset, seed, derived):
+    """walk.csv as np.savetxt(fmt="%.17g", delimiter=",") writes it from the
+    whole (R*K, 6+L) table of a SampleMatrix, header included."""
+    r, k = result.running_max.shape
+    nl = result.layer_euclid.shape[2]
+    ns = np.asarray(result.checkpoints, dtype=float)
+    exponent, kappa = derived["scaling_exponent"], derived["kappa_mu"]
+    rows = np.empty((r * k, 6 + nl))
+    rows[:, 0] = np.repeat(np.arange(r, dtype=float), k)
+    rows[:, 1] = np.tile(ns, r)
+    rows[:, 2] = result.running_max.ravel()
+    rows[:, 3] = (result.running_max / ns[None, :] ** exponent).ravel()
+    rows[:, 4] = result.y_norm.ravel()
+    rows[:, 5] = result.q_index.ravel()
+    rows[:, 6:] = result.layer_euclid.reshape(r * k, nl)
+
+    def fmt(x):
+        return "%.17g" % float(x)
+
+    def vector(v):
+        return " ".join(fmt(x) for x in np.ravel(v))
+
+    header = [
+        "nilwalk-walk-csv 1",
+        f"preset: {preset}",
+        f"seed: {seed}",
+        f"R_mu: {fmt(derived['R_mu'])}",
+        f"kappa_mu: {kappa if isinstance(kappa, str) else fmt(kappa)}",
+        f"v_mu: {vector(derived['v_mu'])}",
+        f"centering: {vector(derived['centering'])}",
+        f"conjugated: {str(derived['conjugated']).lower()}",
+        f"scaling_exponent: {fmt(exponent)}",
+        f"gauge: {derived['gauge']['mode']} sha256:{derived['gauge']['sha256']}",
+        "columns: replicate n M M_scaled y_norm q_index "
+        + " ".join(f"layer_{i + 1}" for i in range(nl)),
+    ]
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="\n".join(header),
+               comments="# ")

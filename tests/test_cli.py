@@ -4,16 +4,18 @@ import inspect
 import itertools
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from nilwalk import norms, walker
+from nilwalk import cli, norms, walker
 from nilwalk.cli import BOUNDS, CONFIG_SCHEMA, _check, default_checkpoints, main, validate_config
 from nilwalk.errors import SchemaError
 from nilwalk.manifest import read_csv_columns, sha256_file
 from nilwalk.semidirect import finite_group
 from nilwalk.splitting import Lift, delta
+from nilwalk.stats import fit_alpha
 
 from test_algebra import ENGEL5_JSON, free_step2_json
 
@@ -171,6 +173,30 @@ def test_fit_pipeline_over_walk_csv(tmp_path):
     assert (fout / "tail.svg").read_text().startswith("<svg")
     man = read_json(fout / "manifest.json")
     assert man["inputs"]["walk.csv"] == sha256_file(str(wout / "walk.csv"))
+
+
+def test_fit_frees_the_parsed_table_before_the_bootstrap(tmp_path, monkeypatch):
+    """The table read_csv_columns returns is gone when fit_alpha is entered:
+    only the columns gathered from it live through the bootstrap."""
+    wout = tmp_path / "w"
+    assert run(["walk", "--preset", "heisenberg-srw", "--n", 16, "--reps", 50,
+                "--out", wout]) == 0
+    tables, alive = [], []
+
+    def read(path):
+        data, names = read_csv_columns(path)
+        tables.append(weakref.ref(data))
+        return data, names
+
+    def fit(*args, **kwargs):
+        alive.append([table() is not None for table in tables])
+        return fit_alpha(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_csv_columns", read)
+    monkeypatch.setattr(cli, "fit_alpha", fit)
+    assert run(["fit", "--csv", wout / "walk.csv", "--bootstrap", 5, "--lil-alpha", "0.5",
+                "--out", tmp_path / "f"]) == 0
+    assert alive == [[False]]
 
 
 def test_fit_refuses_header_only_csv_without_a_warning(tmp_path, capsys):
@@ -791,6 +817,28 @@ def test_brackets_near_the_top_of_the_double_range(tmp_path, capsys):
     report = read_json(tmp_path / "a" / "algebra-report.json")
     assert report["step"] == 2 and report["filtration"]["layer_dims"] == [2, 1]
     assert capsys.readouterr().err.splitlines() == 2 * [
+        "error: gauge calibration is not finite at weight 2: constant nan, scale inf"]
+
+
+def test_hull_refuses_a_layer_past_the_double_range(tmp_path, capsys):
+    """[e1, e2] = 1e308 e3: the bracket products are finite, times the
+    weight-2 kappa they are not.  The hull gauge refuses that layer with one
+    error line naming the weight, as the scaled gauge refuses its
+    calibration, with no warning on the way and no walk.csv."""
+    big = dict(HEIS, brackets=[[1, 2, [[3, 1e308]]]])
+    srw = {"atoms": [{"p": 0.25, "xi": xi, "kappa": 0}
+                     for xi in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])],
+           "Q": {"matrices": [np.eye(3).tolist()]}}
+    (tmp_path / "c.json").write_text(json.dumps(inline_walk(algebra=big, distribution=srw)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gauge in ("bracket_hull", "scaled_euclidean"):
+            assert run(["walk", "--config", tmp_path / "c.json", "--gauge", gauge,
+                        "--out", tmp_path / gauge]) == 4
+            assert not (tmp_path / gauge / "walk.csv").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gauge hull is not finite at weight 2: "
+        "bracket products up to 1.000e+308 times kappa 8.000e+00",
         "error: gauge calibration is not finite at weight 2: constant nan, scale inf"]
 
 

@@ -174,6 +174,18 @@ def test_tail_curve_exponential_coverage():
         assert l <= np.exp(-ti) <= u
 
 
+def test_tail_curve_counts_equal_the_comparison_table():
+    """Bisecting the sorted |samples| finds, at every threshold, the count of
+    samples at or above it that a (thresholds x samples) table sums: ties,
+    signed zeros and thresholds outside the samples included."""
+    x = np.round(np.random.default_rng(11).standard_normal(2001) * 4) / 2  # many ties
+    x[:3] = [-0.0, 0.0, -2.5]
+    t = np.r_[-1.0, -0.0, 0.0, np.abs(x[:50]), 0.25, 1e9]
+    p, _, _ = tail_curve(x, t)
+    k = (np.abs(x)[None, :] >= t[:, None]).sum(axis=1)
+    assert np.array_equal(p, k / x.size)
+
+
 def count_band(n, k):
     """tail_curve on the samples 1 .. n at thresholds with k samples at or above."""
     return tail_curve(np.arange(1, n + 1), n + 1 - np.asarray(k))
