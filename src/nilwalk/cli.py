@@ -22,6 +22,12 @@ import operator
 import os
 import sys
 
+# nilwalk's linear algebra is at most 64 x 64, so a BLAS thread pool only
+# costs start-up time and a worker that spins on the CPU.  OpenBLAS reads
+# this once, when numpy loads: a process that imported numpy before this
+# module keeps numpy's pool, and no output byte depends on the pool size.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .algebra import algebra_from_json, validate_algebra, weighted_filtration
@@ -402,7 +408,12 @@ def cmd_fit(cfg: dict, out_dir: str) -> list[str]:
     final = samples[max(samples)]
     pos = np.abs(final[np.abs(final) > 0])
     if pos.size:
-        t_grid = np.geomspace(quantiles(pos, 0.5), pos.max() * 1.05, 33)
+        # the top is clamped to the largest double (a Python float product
+        # overflows to inf without a warning); 10 ** log10(top) may overflow
+        # inside geomspace, which then writes its endpoint as given
+        top = min(float(pos.max()) * 1.05, sys.float_info.max)
+        with np.errstate(over="ignore"):
+            t_grid = np.geomspace(quantiles(pos, 0.5), top, 33)
     else:
         t_grid = np.linspace(0.0, 1.0, 5)
     p_hat, lo, hi = tail_curve(final, t_grid)

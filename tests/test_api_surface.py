@@ -13,7 +13,8 @@ runtime dependencies, numpy alone; scipy is a test-only reference.  No
 module imports scipy.spatial, the package root loads no module, importing
 the CLI loads no schema library or scipy module, a preset hull walk or
 split scan loads neither scipy.spatial nor scipy.linalg, and fit loads no
-scipy module at all and not numpy.ma.
+scipy module at all and not numpy.ma.  Importing the CLI leaves one OS
+thread, and no output byte depends on the size of numpy's BLAS pool.
 """
 
 import ast
@@ -182,13 +183,64 @@ def test_no_module_imports_scipy_spatial():
     assert not spatial, f"src/nilwalk imports {spatial}"
 
 
+def fresh_python(args: list[str], **environ: str) -> str:
+    """stdout of a fresh interpreter run with args, nilwalk on its path and
+    environ added to this process's environment."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])), **environ)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def loaded_modules(code: str) -> set[str]:
     """The modules sys.modules holds after a fresh interpreter runs code."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True).stdout
+    out = fresh_python(["-c", f"{code}\nimport sys; print(*sys.modules)"])
     return set(out.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_one_thread():
+    """The CLI pins OpenBLAS to one thread before numpy loads, whatever pool
+    size the environment asks for, so a CLI process runs on one OS thread."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("/proc/self/task lists a process's threads on Linux only")
+    out = fresh_python(["-c", "import os, nilwalk.cli; print(len(os.listdir('/proc/self/task')))"],
+                       OPENBLAS_NUM_THREADS="2")
+    assert out.split() == ["1"]
+
+
+def test_no_output_byte_depends_on_the_blas_pool(tmp_path):
+    """A caller that imports numpy before nilwalk.cli keeps numpy's BLAS pool;
+    each command's files from main() in such a process equal those of the
+    CLI, which runs on one thread."""
+    walk = tmp_path / "cli" / "engel5" / "walk.csv"
+    commands = {
+        "engel5": ["walk", "--preset", "engel5-srw", "--gauge", "bracket_hull",
+                   "--n", "32", "--reps", "64", "--seed", "3"],
+        "drift": ["walk", "--preset", "heisenberg-drift", "--gauge", "bracket_hull",
+                  "--n", "32", "--reps", "64", "--seed", "3"],
+        "fit": ["fit", "--csv", str(walk), "--bootstrap", "20", "--lil-alpha", "0.5", "--svg"],
+        "scan": ["split-scan", "--preset", "d4-r2", "--reps", "64", "--svg"],
+        "check": ["algebra-check", "--preset", "engel5", "--v", "1,0.5,0,0,0"],
+    }
+    for name, argv in commands.items():
+        fresh_python(["-m", "nilwalk.cli", *argv, "--out", str(tmp_path / "cli" / name)])
+    runs = {name: argv + ["--out", str(tmp_path / "pool" / name)]
+            for name, argv in commands.items()}
+    code = ("import os, numpy\n"
+            "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+            "else 0\n"
+            "from nilwalk.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {list(runs.values())!r})\n"
+            "print(threads)")
+    threads = int(fresh_python(["-c", code], OPENBLAS_NUM_THREADS="2").split()[-1])
+    if threads and len(os.sched_getaffinity(0)) >= 2:  # Linux, two CPUs or more
+        assert threads == 2, "numpy loaded first should keep a pool of two threads"
+    for name in commands:
+        cli_dir, pool_dir = tmp_path / "cli" / name, tmp_path / "pool" / name
+        files = sorted(p.name for p in cli_dir.iterdir())
+        assert files == sorted(p.name for p in pool_dir.iterdir()) and files, name
+        for file in files:
+            assert (cli_dir / file).read_bytes() == (pool_dir / file).read_bytes(), (name, file)
 
 
 def test_package_root_loads_no_other_module():

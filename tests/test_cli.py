@@ -246,6 +246,24 @@ def test_fit_flags_moment_and_tail_overflow_and_warns_nothing(tmp_path, capsys):
     assert report["flags"] == ["moment-overflow", "tail-overflow"]
 
 
+def test_fit_tail_grid_stays_finite_near_the_largest_double(tmp_path, capsys):
+    """Samples up to 1.79e308 are finite, but 1.05 times their largest is
+    not: the tail grid's top is clamped to the largest double."""
+    rows = "".join(f"{r},{n},{v!r},{v!r},{v!r},0,{v!r}\n" for n in (4, 8)
+                   for r, v in enumerate(np.linspace(1e308, 1.79e308, 40).tolist()))
+    csv_path = tmp_path / "w.csv"
+    csv_path.write_text(WALK_CSV_COLUMNS + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", "--csv", csv_path, "--bootstrap", "5", "--svg",
+                    "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().err == ""
+    data, names = read_csv_columns(str(tmp_path / "o" / "fit-tail.csv"))
+    assert names == ["t", "p", "lo", "hi"] and data.shape == (33, 4)
+    assert np.isfinite(data).all()
+    assert data[-1, 0] == np.finfo(float).max
+
+
 def test_fit_missing_csv_is_io_error(tmp_path):
     assert run(["fit", "--csv", tmp_path / "nope.csv",
                 "--out", tmp_path / "o"]) == 5

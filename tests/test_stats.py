@@ -75,6 +75,21 @@ def test_degenerate_samples_flagged():
     assert "degenerate-samples" in fit["flags"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-20, 1e-100])
+def test_degenerate_flag_does_not_depend_on_scale(scale):
+    """Each group's spread is taken against its own largest magnitude:
+    varying samples scaled far below 1 keep their flags, and constant ones
+    are still degenerate."""
+    rng = np.random.default_rng(6)
+    varying = {4: rng.normal(size=400), 8: rng.exponential(size=300)}
+    base = fit_alpha(varying, n_bootstrap=5, seed=1)
+    scaled = fit_alpha({n: v * scale for n, v in varying.items()}, n_bootstrap=5, seed=1)
+    assert scaled["flags"] == base["flags"] == []
+    constant = {4: np.full(50, 2.0 * scale), 8: np.full(30, 2.0 * scale)}
+    assert "degenerate-samples" in fit_alpha(constant, n_bootstrap=5, seed=1)["flags"]
+
+
 def _fit_cases():
     rng = np.random.default_rng(9)
     ties = rng.integers(0, 12, size=(3, 400)).astype(float)  # grid points are sample values
